@@ -72,7 +72,6 @@ from .stateful import (
     apply_restriction,
     dive_campaign,
     dives,
-    incremental_wrap,
     random_restriction,
 )
 

@@ -167,7 +167,9 @@ def instance_from_doc(doc: Any) -> Instance:
         raise UsageError('"domains" must be a non-empty list of lists')
     allow_empty = bool(doc.get("allowEmpty", False))
     for values in domains:
-        if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+        if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values
+        ):
             raise UsageError("each domain must be a list of integers")
         if not values and not allow_empty:
             raise UsageError('empty domain requires "allowEmpty": true')
@@ -323,9 +325,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON on stdin: {exc}")
     inst = instance_from_doc(doc)
-    if any(d.is_empty() for d in inst.domains):
-        print(json.dumps({"status": "inconsistent"}))
-        return EXIT_PASS
     if args.level not in _LEVELS:
         raise UsageError(
             f"unknown consistency level {args.level!r}; "

@@ -9,12 +9,13 @@ functions of (trusted, tested, config).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .domains import (
     INCONSISTENT,
     ContractViolationError,
+    Filter,
     Filtered,
     FilterOutcome,
     Instance,
@@ -31,15 +32,6 @@ from .generator import (
 from .reference import DEFAULT_CAP, EnumerationCapExceeded
 
 MAX_REDRAWS = 1000
-
-
-@dataclass(frozen=True)
-class Filter:
-    """A deterministic, contracting filtering algorithm."""
-
-    arity: int
-    apply: Callable[[Instance], FilterOutcome] = field(compare=False)
-    name: str = ""
 
 
 class ComparisonMode(enum.Enum):
@@ -68,7 +60,8 @@ class TestReport:
     redraws: int = 0
 
     def __post_init__(self) -> None:
-        assert self.passed == (self.failure is None)
+        if self.passed != (self.failure is None):
+            raise ValueError("a report passes exactly when it carries no failure")
 
 
 def _contracting(inp: Instance, out: FilterOutcome) -> bool:

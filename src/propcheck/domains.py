@@ -6,7 +6,8 @@ Everything here is immutable and safe to share. Inconsistency is a value
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -160,6 +161,15 @@ class _Inconsistent:
 INCONSISTENT = _Inconsistent()
 
 FilterOutcome = Union[Filtered, _Inconsistent]
+
+
+@dataclass(frozen=True)
+class Filter:
+    """A deterministic, contracting filtering algorithm."""
+
+    arity: int
+    apply: Callable[[Instance], FilterOutcome] = field(compare=False)
+    name: str = ""
 
 
 def is_fixed(d: Domain) -> bool:

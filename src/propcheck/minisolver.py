@@ -14,11 +14,11 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .comparator import Filter
 from .domains import (
     INCONSISTENT,
     ContractViolationError,
     Domain,
+    Filter,
     Filtered,
     FilterOutcome,
     Instance,

@@ -1,23 +1,27 @@
 """Trusted reference filters derived from a feasibility checker.
 
-Four consistency levels are supported:
+The four consistency levels form a 2x2 table. Supports come from the
+actual domains or from the bound intervals, and filtering removes every
+unsupported value or only unsupported bounds:
 
-* arc (GAC): every value must appear in some solution over the actual domains.
-* bound-Z: each domain's min and max must have a support with the other
-  variables ranging over their bound intervals; interior values are kept.
-* bound-D: like bound-Z but supports come from the other variables' actual
-  domains (holes respected).
-* range: every value (not just the bounds) needs an interval support.
+* arc (GAC): domain supports, every value.
+* bound-D: domain supports, bounds only (holes respected).
+* bound-Z: interval supports, bounds only; interior values are kept.
+* range: interval supports, every value.
 
 All four work by explicit enumeration guarded by a tuple cap, so a "pass"
-can never hide an unexhausted search. They are oracles for small instances,
-not production propagators.
+can never hide an unexhausted search. No single enumeration visits more
+than `cap` tuples: a full marking pass over the product runs when the
+product fits, otherwise each value gets its own support search, and a
+search over more than `cap` tuples raises EnumerationCapExceeded. They are
+oracles for small instances, not production propagators.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from typing import Callable, Sequence
 
 from .checkers import Checker
@@ -26,6 +30,7 @@ from .domains import (
     Assignment,
     ContractViolationError,
     Domain,
+    Filter,
     Filtered,
     FilterOutcome,
     Instance,
@@ -35,7 +40,7 @@ DEFAULT_CAP = 1_000_000
 
 
 class EnumerationCapExceeded(Exception):
-    """The Cartesian product to enumerate is larger than the configured cap."""
+    """A single enumeration would visit more tuples than the configured cap."""
 
 
 class ConsistencyLevel(enum.Enum):
@@ -52,23 +57,14 @@ def _check_arity(checker: Checker, inst: Instance) -> None:
         )
 
 
-def _product_size(value_lists: Sequence[Sequence[int]]) -> int:
-    size = 1
-    for vs in value_lists:
-        size *= len(vs)
-    return size
-
-
 def _mark_supports(
     checker: Checker, value_lists: Sequence[Sequence[int]]
 ) -> list[set[int]]:
     """One pass over the full product; marks every (var, value) with a support."""
     supported: list[set[int]] = [set() for _ in value_lists]
-    pred = checker.predicate
-    for a in itertools.product(*value_lists):
-        if pred(a):
-            for i, v in enumerate(a):
-                supported[i].add(v)
+    for a in filter(checker.predicate, itertools.product(*value_lists)):
+        for marks, v in zip(supported, a):
+            marks.add(v)
     return supported
 
 
@@ -80,15 +76,14 @@ def _has_support(
     cap: int,
 ) -> bool:
     """Early-exit support search for variable i taking value v."""
-    others = [list(vs) for j, vs in enumerate(value_lists) if j != i]
-    if _product_size(others) > cap:
+    others = [vs for j, vs in enumerate(value_lists) if j != i]
+    if math.prod(map(len, others)) > cap:
         raise EnumerationCapExceeded(
             f"support search for variable {i} needs more than {cap} tuples"
         )
     pred = checker.predicate
     for rest in itertools.product(*others):
-        a = rest[:i] + (v,) + rest[i:]
-        if pred(a):
+        if pred(rest[:i] + (v,) + rest[i:]):
             return True
     return False
 
@@ -106,148 +101,99 @@ def solutions(
     return [a for a in itertools.product(*(d.values for d in inst.domains)) if pred(a)]
 
 
-def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:
-    """The unique GAC closure: per-position union of all solutions."""
-    sols = solutions(checker, inst, cap)
-    if not sols:
-        return INCONSISTENT
-    return Filtered(
-        Instance(Domain(a[i] for a in sols) for i in range(inst.arity))
-    )
+# Each level as (supports range over bound intervals, only bounds are filtered).
+_LEVEL_FLAGS = {
+    ConsistencyLevel.ARC: (False, False),
+    ConsistencyLevel.BOUND_D: (False, True),
+    ConsistencyLevel.BOUND_Z: (True, True),
+    ConsistencyLevel.RANGE: (True, False),
+}
 
 
-def _supported_values(
-    checker: Checker,
-    domains: Sequence[Domain],
-    value_lists: Sequence[Sequence[int]],
-    bounds_only: bool,
-    cap: int,
-) -> list[list[int]] | None:
-    """Domain values with a support over `value_lists`, per variable.
-
-    Returns None as soon as some variable has no supported value. With
-    bounds_only, only the lowest and highest supported values matter, so the
-    fallback path scans from both ends with early exits.
-    """
-    n = len(domains)
-    if _product_size(value_lists) <= cap:
-        marks = _mark_supports(checker, value_lists)
-        result = []
-        for i in range(n):
-            sup = [v for v in domains[i] if v in marks[i]]
-            if not sup:
-                return None
-            result.append(sup)
-        return result
-
-    result = []
-    for i in range(n):
-        vals = domains[i].values
-        if bounds_only:
-            lo = next(
-                (v for v in vals if _has_support(checker, value_lists, i, v, cap)),
-                None,
-            )
-            if lo is None:
-                return None
-            hi = next(
-                v
-                for v in reversed(vals)
-                if _has_support(checker, value_lists, i, v, cap)
-            )
-            result.append([lo, hi])
-        else:
-            sup = [v for v in vals if _has_support(checker, value_lists, i, v, cap)]
-            if not sup:
-                return None
-            result.append(sup)
-    return result
+def _kept_values(
+    d: Domain, supported: Callable[[int], bool], bounds_only: bool
+) -> list[int]:
+    """The values of `d` a filter keeps; bounds_only scans in from both ends."""
+    if not bounds_only:
+        return [v for v in d if supported(v)]
+    lo = next((v for v in d if supported(v)), None)
+    if lo is None:
+        return []
+    hi = next(v for v in reversed(d.values) if supported(v))
+    return [v for v in d if lo <= v <= hi]
 
 
-def _bound_fixpoint(
-    checker: Checker,
-    inst: Instance,
-    interval_supports: bool,
-    cap: int,
+def _filter(
+    checker: Checker, inst: Instance, level: ConsistencyLevel, cap: int
 ) -> FilterOutcome:
-    """Shared fixpoint for bound-Z (interval supports) and bound-D (domain supports)."""
+    """The fixpoint shared by all four levels.
+
+    Each pass marks supports in one sweep of the product when it fits the
+    cap, and otherwise searches a support for each value with early exit.
+    With domain supports one pass suffices: every support found is a
+    solution whose values all stay, so a second pass finds it again.
+    Interval supports can vanish when a bound moves, so the interval levels
+    iterate until nothing changes.
+    """
     _check_arity(checker, inst)
+    intervals, bounds_only = _LEVEL_FLAGS[level]
     domains = list(inst.domains)
     if any(d.is_empty() for d in domains):
         return INCONSISTENT
     while True:
-        if interval_supports:
+        if intervals:
             value_lists: list[Sequence[int]] = [
                 range(d.min(), d.max() + 1) for d in domains
             ]
         else:
             value_lists = [d.values for d in domains]
-        supported = _supported_values(checker, domains, value_lists, True, cap)
-        if supported is None:
-            return INCONSISTENT
+        if math.prod(map(len, value_lists)) <= cap:
+            marks = _mark_supports(checker, value_lists)
+            supported = lambda i, v: v in marks[i]
+        else:
+            supported = lambda i, v: _has_support(checker, value_lists, i, v, cap)
         changed = False
-        for i, sup in enumerate(supported):
-            lo, hi = sup[0], sup[-1]
-            if lo > domains[i].min() or hi < domains[i].max():
-                domains[i] = Domain(v for v in domains[i] if lo <= v <= hi)
+        for i, d in enumerate(domains):
+            kept = _kept_values(d, lambda v: supported(i, v), bounds_only)
+            if not kept:
+                return INCONSISTENT
+            if len(kept) != len(d):
+                domains[i] = Domain(kept)
                 changed = True
-        if not changed:
+        if not (changed and intervals):
             return Filtered(Instance(domains))
+
+
+def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:
+    """The unique GAC closure: every value that appears in some solution."""
+    return _filter(checker, inst, ConsistencyLevel.ARC, cap)
 
 
 def bound_z_filter(
     checker: Checker, inst: Instance, cap: int = DEFAULT_CAP
 ) -> FilterOutcome:
     """Tighten bounds to the extreme values holding an interval support."""
-    return _bound_fixpoint(checker, inst, interval_supports=True, cap=cap)
+    return _filter(checker, inst, ConsistencyLevel.BOUND_Z, cap)
 
 
 def bound_d_filter(
     checker: Checker, inst: Instance, cap: int = DEFAULT_CAP
 ) -> FilterOutcome:
     """Tighten bounds to the extreme values holding a domain support."""
-    return _bound_fixpoint(checker, inst, interval_supports=False, cap=cap)
+    return _filter(checker, inst, ConsistencyLevel.BOUND_D, cap)
 
 
 def range_filter(
     checker: Checker, inst: Instance, cap: int = DEFAULT_CAP
 ) -> FilterOutcome:
     """Drop every value (bounds and interior) lacking an interval support."""
-    _check_arity(checker, inst)
-    domains = list(inst.domains)
-    if any(d.is_empty() for d in domains):
-        return INCONSISTENT
-    while True:
-        value_lists: list[Sequence[int]] = [
-            range(d.min(), d.max() + 1) for d in domains
-        ]
-        supported = _supported_values(checker, domains, value_lists, False, cap)
-        if supported is None:
-            return INCONSISTENT
-        changed = False
-        for i, sup in enumerate(supported):
-            if len(sup) != len(domains[i]):
-                domains[i] = Domain(sup)
-                changed = True
-        if not changed:
-            return Filtered(Instance(domains))
-
-
-_LEVEL_FUNCS: dict[ConsistencyLevel, Callable[[Checker, Instance, int], FilterOutcome]] = {
-    ConsistencyLevel.ARC: arc_filter,
-    ConsistencyLevel.BOUND_Z: bound_z_filter,
-    ConsistencyLevel.BOUND_D: bound_d_filter,
-    ConsistencyLevel.RANGE: range_filter,
-}
+    return _filter(checker, inst, ConsistencyLevel.RANGE, cap)
 
 
 def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT_CAP):
     """A Filter applying the reference algorithm for `level` to `checker`."""
-    from .comparator import Filter
-
-    func = _LEVEL_FUNCS[level]
     return Filter(
         arity=checker.arity,
-        apply=lambda inst: func(checker, inst, cap),
+        apply=lambda inst: _filter(checker, inst, level, cap),
         name=f"{level.value}:{checker.name}",
     )

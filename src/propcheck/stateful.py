@@ -18,6 +18,7 @@ from .domains import (
     INCONSISTENT,
     ContractViolationError,
     Domain,
+    Filter,
     Filtered,
     FilterOutcome,
     Instance,
@@ -25,7 +26,7 @@ from .domains import (
     is_leaf,
     pointwise_equal,
 )
-from .comparator import ComparisonMode, Failure, Filter, TestReport, _draw_instance
+from .comparator import ComparisonMode, Failure, TestReport, _draw_instance
 from .generator import DEFAULT_SHRINK_BUDGET, GenConfig, SplitMix64, shrink
 from .reference import DEFAULT_CAP
 
@@ -136,10 +137,6 @@ class IncrementalFiltering(FilterWithState):
                 else:
                     self._current = self._base.apply(restricted.instance)
         return self._current
-
-
-def incremental_wrap(base: Filter) -> IncrementalFiltering:
-    return IncrementalFiltering(base)
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,10 @@ def dive_campaign(
 
     result = shrink(root, lambda inst: not run(inst).passed, budget=shrink_budget)
     final = run(result.instance)
-    assert final.failure is not None
+    if final.failure is None:
+        raise ContractViolationError(
+            "the shrunk root no longer fails: a subject is not deterministic"
+        )
     return TestReport(
         passed=False,
         tests_run=final.tests_run,

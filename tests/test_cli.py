@@ -223,6 +223,7 @@ class TestOracle:
             json.dumps({"domains": [[1], []]}),  # empty without allowEmpty
             json.dumps({"domains": [[2**31]]}),  # out of 32-bit range
             json.dumps({"nope": 1}),
+            json.dumps({"domains": [[True, False], [1]]}),  # booleans are not integers
         ],
     )
     def test_bad_payload_is_usage_error(self, capsys, monkeypatch, payload):
@@ -238,6 +239,27 @@ class TestOracle:
             "--level", "nope", "--checker", "alldiff",
         )
         assert code == EXIT_USAGE
+
+    def test_empty_domain_does_not_skip_validation(self, capsys, monkeypatch):
+        code, out, _ = self.run_oracle(
+            capsys, monkeypatch,
+            json.dumps({"domains": [[1], []], "allowEmpty": True}),
+            "--level", "nope", "--checker", "bogus",
+        )
+        assert code == EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("level", ["arc", "boundz", "boundd", "range"])
+    def test_cap_exceeded_exit_code(self, capsys, monkeypatch, level):
+        # Each support search spans 1001**2 tuples, past the default cap of
+        # 1,000,000, so every level raises before enumerating anything.
+        code, out, err = self.run_oracle(
+            capsys, monkeypatch,
+            json.dumps({"domains": [list(range(1001))] * 3}),
+            "--level", level, "--checker", "alldiff",
+        )
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "limit" in err
 
 
 class TestReplay:

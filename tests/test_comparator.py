@@ -2,11 +2,14 @@
 
 import pytest
 
+import propcheck
 from propcheck import (
     INCONSISTENT,
+    ComparisonMode,
     ConsistencyLevel,
     ContractViolationError,
     Domain,
+    Failure,
     Filter,
     FilterAssertionError,
     Filtered,
@@ -114,6 +117,23 @@ class TestStronger:
         assert check(ref, other, CFG3).passed
         assert stronger(ref, other, CFG3).passed
         assert stronger(other, ref, CFG3).passed
+
+
+class TestReportInvariant:
+    # Reached through the module so pytest does not collect TestReport.
+    def failure(self):
+        inst = Instance.of([[1]])
+        return Failure(
+            inst, inst, INCONSISTENT, Filtered(inst), ComparisonMode.EQUALITY, "differ"
+        )
+
+    def test_passing_report_with_failure_is_rejected(self):
+        with pytest.raises(ValueError):
+            propcheck.TestReport(passed=True, tests_run=1, seed=0, failure=self.failure())
+
+    def test_failing_report_without_failure_is_rejected(self):
+        with pytest.raises(ValueError):
+            propcheck.TestReport(passed=False, tests_run=1, seed=0)
 
 
 class TestAssertions:

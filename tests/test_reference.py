@@ -264,3 +264,54 @@ def test_monotonicity():
     for checker in checkers_for(3):
         for f in LEVEL_FUNCS.values():
             assert pointwise_subset(f(checker, small), f(checker, big))
+
+
+# ---------------------------------------------------------------------------
+# The cap rule: no single enumeration (one marking pass or one support
+# search) visits more than `cap` tuples.
+
+
+def test_cap_bounds_each_enumeration_not_the_product():
+    # The product has 1000 tuples, past the cap, so no marking pass runs;
+    # each support search spans 100 tuples and fits.
+    inst = Instance.of([list(range(10))] * 3)
+    for checker in (all_different(3), sum_equals(5, 3)):
+        for level, f in LEVEL_FUNCS.items():
+            assert pointwise_equal(f(checker, inst, cap=100), f(checker, inst)), level
+
+
+def test_support_search_past_the_cap_raises():
+    inst = Instance.of([list(range(10))] * 3)
+    for level, f in LEVEL_FUNCS.items():
+        with pytest.raises(EnumerationCapExceeded):
+            f(all_different(3), inst, cap=99)
+
+
+def counting(checker):
+    calls = []
+
+    def predicate(a):
+        calls.append(a)
+        return checker.predicate(a)
+
+    return Checker(checker.arity, predicate, checker.name), calls
+
+
+@pytest.mark.parametrize(
+    "checker,domains",
+    [
+        (sum_equals(15, 3), [[1, 10], [2, 3], [2, 3]]),
+        (all_different(3), [[1, 2], [1, 2], [1, 2, 3]]),
+        (sum_equals(0, 3), [[-3, 0, 3], [-1, 1], [0, 2]]),
+    ],
+    ids=["sum=15", "alldiff", "sum=0"],
+)
+def test_domain_supports_take_one_pass(checker, domains):
+    # arc and bound-D reach their fixpoint in one marking pass, even when
+    # they prune: every tuple of the product is checked exactly once.
+    inst = Instance.of(domains)
+    for level, f in (("arc", arc_filter), ("boundd", bound_d_filter)):
+        counted, calls = counting(checker)
+        out = f(counted, inst)
+        assert out != Filtered(inst), level
+        assert sorted(calls) == sorted(itertools.product(*domains)), level

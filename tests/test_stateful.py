@@ -20,7 +20,6 @@ from propcheck import (
     apply_restriction,
     dive_campaign,
     dives,
-    incremental_wrap,
     make_reference,
     random_restriction,
     sum_equals,
@@ -81,7 +80,7 @@ class TestRandomRestriction:
 
 class TestIncrementalFiltering:
     def test_setup_push_restrict_pop_round_trip(self):
-        f = incremental_wrap(arc_alldiff(3))
+        f = IncrementalFiltering(arc_alldiff(3))
         root = Instance.of([[1, 2], [1, 2], [1, 2, 3]])
         after_setup = f.setup(root)
         assert after_setup == Filtered(Instance.of([[1, 2], [1, 2], [3]]))
@@ -92,7 +91,7 @@ class TestIncrementalFiltering:
         assert popped == after_setup
 
     def test_restriction_to_inconsistency_sticks_until_pop(self):
-        f = incremental_wrap(arc_alldiff(2))
+        f = IncrementalFiltering(arc_alldiff(2))
         f.setup(Instance.of([[1, 2], [1, 2]]))
         f.branch_and_filter(PUSH)
         assert f.branch_and_filter(RestrictDomain(0, ">", 5)) is INCONSISTENT
@@ -101,20 +100,20 @@ class TestIncrementalFiltering:
         assert f.branch_and_filter(POP) == Filtered(Instance.of([[1, 2], [1, 2]]))
 
     def test_pop_without_push_is_contract_error(self):
-        f = incremental_wrap(arc_alldiff(1))
+        f = IncrementalFiltering(arc_alldiff(1))
         f.setup(Instance.of([[1]]))
         with pytest.raises(ContractViolationError):
             f.branch_and_filter(POP)
 
     def test_setup_twice_rejected(self):
-        f = incremental_wrap(arc_alldiff(1))
+        f = IncrementalFiltering(arc_alldiff(1))
         f.setup(Instance.of([[1]]))
         with pytest.raises(ContractViolationError):
             f.setup(Instance.of([[2]]))
 
     def test_branch_before_setup_rejected(self):
         with pytest.raises(ContractViolationError):
-            incremental_wrap(arc_alldiff(1)).branch_and_filter(PUSH)
+            IncrementalFiltering(arc_alldiff(1)).branch_and_filter(PUSH)
 
 
 class IdentityStateful(IncrementalFiltering):
@@ -139,8 +138,8 @@ class TestDives:
         root = Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
         report = dives(
             root,
-            incremental_wrap(arc_alldiff(3)),
-            incremental_wrap(arc_alldiff(3)),
+            IncrementalFiltering(arc_alldiff(3)),
+            IncrementalFiltering(arc_alldiff(3)),
             DiveConfig(nb_dives=10, seed=3),
         )
         assert report.passed and report.tests_run == 10
@@ -149,8 +148,8 @@ class TestDives:
         root = Instance.of([[1], [2]])
         report = dives(
             root,
-            incremental_wrap(arc_alldiff(2)),
-            incremental_wrap(arc_alldiff(2)),
+            IncrementalFiltering(arc_alldiff(2)),
+            IncrementalFiltering(arc_alldiff(2)),
             DiveConfig(nb_dives=5, seed=0),
         )
         assert report.passed
@@ -160,7 +159,7 @@ class TestDives:
         root = Instance.of([[1, 2], [1, 2], [1, 2]])  # pigeonhole for alldiff
         report = dives(
             root,
-            incremental_wrap(make_reference(ConsistencyLevel.BOUND_Z, all_different(3))),
+            IncrementalFiltering(make_reference(ConsistencyLevel.BOUND_Z, all_different(3))),
             IdentityStateful(3),
             DiveConfig(nb_dives=3, seed=1),
         )
@@ -172,7 +171,7 @@ class TestDives:
         root = Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
         report = dives(
             root,
-            incremental_wrap(arc_alldiff(3)),
+            IncrementalFiltering(arc_alldiff(3)),
             IdentityStateful(3),
             DiveConfig(nb_dives=10, seed=2),
         )
@@ -184,7 +183,7 @@ class TestDives:
         root = Instance.of([[1, 2], [1, 2, 3]])
         report = dives(
             root,
-            incremental_wrap(arc_alldiff(2)),
+            IncrementalFiltering(arc_alldiff(2)),
             RaisingAfterSetup(arc_alldiff(2)),
             DiveConfig(nb_dives=3, seed=0),
         )
@@ -206,8 +205,8 @@ class TestDives:
     def test_transcript_replays_to_same_mismatch(self):
         root = Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
         cfg = DiveConfig(nb_dives=10, seed=2)
-        first = dives(root, incremental_wrap(arc_alldiff(3)), IdentityStateful(3), cfg)
-        second = dives(root, incremental_wrap(arc_alldiff(3)), IdentityStateful(3), cfg)
+        first = dives(root, IncrementalFiltering(arc_alldiff(3)), IdentityStateful(3), cfg)
+        second = dives(root, IncrementalFiltering(arc_alldiff(3)), IdentityStateful(3), cfg)
         assert first == second
 
     def test_dive_config_validation(self):
@@ -220,8 +219,8 @@ class TestDives:
 class TestDiveCampaign:
     def test_self_comparison_passes(self):
         report = dive_campaign(
-            lambda: incremental_wrap(arc_alldiff(4)),
-            lambda: incremental_wrap(arc_alldiff(4)),
+            lambda: IncrementalFiltering(arc_alldiff(4)),
+            lambda: IncrementalFiltering(arc_alldiff(4)),
             GenConfig(n_vars=4, value_min=-3, value_max=3, seed=8),
             DiveConfig(nb_dives=10, seed=8),
         )
@@ -230,7 +229,7 @@ class TestDiveCampaign:
     def test_failure_is_shrunk_and_reproducible(self):
         gen_cfg = GenConfig(n_vars=3, value_min=-2, value_max=2, seed=1)
         dive_cfg = DiveConfig(nb_dives=10, seed=1)
-        trusted = lambda: incremental_wrap(
+        trusted = lambda: IncrementalFiltering(
             make_reference(ConsistencyLevel.ARC, sum_equals(0, 3))
         )
         report = dive_campaign(trusted, lambda: IdentityStateful(3), gen_cfg, dive_cfg)
@@ -241,3 +240,20 @@ class TestDiveCampaign:
         # Campaigns with the same configuration reproduce the same failure.
         again = dive_campaign(trusted, lambda: IdentityStateful(3), gen_cfg, dive_cfg)
         assert again == report
+
+    def test_failure_that_does_not_repeat_is_a_contract_violation(self):
+        setups = []
+
+        class FailsOnce(IncrementalFiltering):
+            def setup(self, root):
+                setups.append(root)
+                out = super().setup(root)
+                return INCONSISTENT if len(setups) == 1 else out
+
+        with pytest.raises(ContractViolationError):
+            dive_campaign(
+                lambda: IncrementalFiltering(arc_alldiff(3)),
+                lambda: FailsOnce(arc_alldiff(3)),
+                GenConfig(n_vars=3, value_min=-2, value_max=2, seed=1),
+                DiveConfig(nb_dives=2, seed=1),
+            )
