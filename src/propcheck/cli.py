@@ -165,7 +165,9 @@ def instance_from_doc(doc: Any) -> Instance:
     domains = doc["domains"]
     if not isinstance(domains, list) or not domains:
         raise UsageError('"domains" must be a non-empty list of lists')
-    allow_empty = bool(doc.get("allowEmpty", False))
+    allow_empty = doc.get("allowEmpty", False)
+    if not isinstance(allow_empty, bool):
+        raise UsageError('"allowEmpty" must be true or false')
     for values in domains:
         if not isinstance(values, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in values

@@ -10,11 +10,10 @@ unsupported value or only unsupported bounds:
 * range: interval supports, every value.
 
 All four work by explicit enumeration guarded by a tuple cap, so a "pass"
-can never hide an unexhausted search. No single enumeration visits more
-than `cap` tuples: a full marking pass over the product runs when the
-product fits, otherwise each value gets its own support search, and a
-search over more than `cap` tuples raises EnumerationCapExceeded. They are
-oracles for small instances, not production propagators.
+can never hide an unexhausted search. Each value gets its own early-exit
+support search, and a search over more than `cap` tuples raises
+EnumerationCapExceeded. They are oracles for small instances, not
+production propagators.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .checkers import Checker
 from .domains import (
@@ -57,37 +56,6 @@ def _check_arity(checker: Checker, inst: Instance) -> None:
         )
 
 
-def _mark_supports(
-    checker: Checker, value_lists: Sequence[Sequence[int]]
-) -> list[set[int]]:
-    """One pass over the full product; marks every (var, value) with a support."""
-    supported: list[set[int]] = [set() for _ in value_lists]
-    for a in filter(checker.predicate, itertools.product(*value_lists)):
-        for marks, v in zip(supported, a):
-            marks.add(v)
-    return supported
-
-
-def _has_support(
-    checker: Checker,
-    value_lists: Sequence[Sequence[int]],
-    i: int,
-    v: int,
-    cap: int,
-) -> bool:
-    """Early-exit support search for variable i taking value v."""
-    others = [vs for j, vs in enumerate(value_lists) if j != i]
-    if math.prod(map(len, others)) > cap:
-        raise EnumerationCapExceeded(
-            f"support search for variable {i} needs more than {cap} tuples"
-        )
-    pred = checker.predicate
-    for rest in itertools.product(*others):
-        if pred(rest[:i] + (v,) + rest[i:]):
-            return True
-    return False
-
-
 def solutions(
     checker: Checker, inst: Instance, cap: int = DEFAULT_CAP
 ) -> list[Assignment]:
@@ -110,58 +78,66 @@ _LEVEL_FLAGS = {
 }
 
 
-def _kept_values(
-    d: Domain, supported: Callable[[int], bool], bounds_only: bool
-) -> list[int]:
-    """The values of `d` a filter keeps; bounds_only scans in from both ends."""
-    if not bounds_only:
-        return [v for v in d if supported(v)]
-    lo = next((v for v in d if supported(v)), None)
-    if lo is None:
-        return []
-    hi = next(v for v in reversed(d.values) if supported(v))
-    return [v for v in d if lo <= v <= hi]
-
-
 def _filter(
     checker: Checker, inst: Instance, level: ConsistencyLevel, cap: int
 ) -> FilterOutcome:
     """The fixpoint shared by all four levels.
 
-    Each pass marks supports in one sweep of the product when it fits the
-    cap, and otherwise searches a support for each value with early exit.
-    With domain supports one pass suffices: every support found is a
-    solution whose values all stay, so a second pass finds it again.
-    Interval supports can vanish when a bound moves, so the interval levels
-    iterate until nothing changes.
+    Each value gets an early-exit support search over the current value
+    lists: the kept domain values, or their hulls for interval supports.
+    A support found is recorded as the witness of each of its components,
+    and a later check reuses it while every component is still inside the
+    lists. A value without support leaves its list at once. With domain
+    supports one pass suffices: every support found is a solution, and a
+    solution loses none of its values. Interval supports can leave the hull
+    when a bound moves, so the interval levels repeat the pass until it
+    removes nothing.
     """
     _check_arity(checker, inst)
     intervals, bounds_only = _LEVEL_FLAGS[level]
-    domains = list(inst.domains)
-    if any(d.is_empty() for d in domains):
+    kept = [list(d.values) for d in inst.domains]
+    if not all(kept):
         return INCONSISTENT
+    hull = lambda vs: range(vs[0], vs[-1] + 1)
+    # The domain levels search the kept lists themselves, so a removal
+    # shows in every later search.
+    lists: list[Sequence[int]] = [hull(vs) for vs in kept] if intervals else kept
+    pred = checker.predicate
+    witness: dict[tuple[int, int], Assignment] = {}
+
+    def supported(i: int, v: int) -> bool:
+        t = witness.get((i, v))
+        if t is not None and all(x in vs for x, vs in zip(t, lists)):
+            return True
+        space = [*lists[:i], (v,), *lists[i + 1 :]]
+        if math.prod(map(len, space)) > cap:
+            raise EnumerationCapExceeded(
+                f"support search for variable {i} needs more than {cap} tuples"
+            )
+        t = next(filter(pred, itertools.product(*space)), None)
+        if t is None:
+            return False
+        for k, x in enumerate(t):
+            witness[k, x] = t
+        return True
+
     while True:
-        if intervals:
-            value_lists: list[Sequence[int]] = [
-                range(d.min(), d.max() + 1) for d in domains
-            ]
-        else:
-            value_lists = [d.values for d in domains]
-        if math.prod(map(len, value_lists)) <= cap:
-            marks = _mark_supports(checker, value_lists)
-            supported = lambda i, v: v in marks[i]
-        else:
-            supported = lambda i, v: _has_support(checker, value_lists, i, v, cap)
-        changed = False
-        for i, d in enumerate(domains):
-            kept = _kept_values(d, lambda v: supported(i, v), bounds_only)
-            if not kept:
-                return INCONSISTENT
-            if len(kept) != len(d):
-                domains[i] = Domain(kept)
-                changed = True
-        if not (changed and intervals):
-            return Filtered(Instance(domains))
+        removed = False
+        for i, vs in enumerate(kept):
+            for reverse in (False, True) if bounds_only else (False,):
+                for v in sorted(vs, reverse=reverse):
+                    if supported(i, v):
+                        if bounds_only:
+                            break
+                    else:
+                        vs.remove(v)
+                        if not vs:
+                            return INCONSISTENT
+                        if intervals:
+                            lists[i] = hull(vs)
+                        removed = True
+        if not (removed and intervals):
+            return Filtered(Instance([Domain(vs) for vs in kept]))
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:

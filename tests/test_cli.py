@@ -224,6 +224,7 @@ class TestOracle:
             json.dumps({"domains": [[2**31]]}),  # out of 32-bit range
             json.dumps({"nope": 1}),
             json.dumps({"domains": [[True, False], [1]]}),  # booleans are not integers
+            json.dumps({"domains": [[1], []], "allowEmpty": "false"}),  # not a boolean
         ],
     )
     def test_bad_payload_is_usage_error(self, capsys, monkeypatch, payload):

@@ -267,13 +267,13 @@ def test_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# The cap rule: no single enumeration (one marking pass or one support
-# search) visits more than `cap` tuples.
+# The cap rule: no single enumeration (one support search) visits more
+# than `cap` tuples.
 
 
 def test_cap_bounds_each_enumeration_not_the_product():
-    # The product has 1000 tuples, past the cap, so no marking pass runs;
-    # each support search spans 100 tuples and fits.
+    # The product has 1000 tuples, past the cap; each support search spans
+    # 100 tuples and fits.
     inst = Instance.of([list(range(10))] * 3)
     for checker in (all_different(3), sum_equals(5, 3)):
         for level, f in LEVEL_FUNCS.items():
@@ -298,20 +298,79 @@ def counting(checker):
 
 
 @pytest.mark.parametrize(
-    "checker,domains",
+    "checker,domains,by_domains,by_intervals",
     [
-        (sum_equals(15, 3), [[1, 10], [2, 3], [2, 3]]),
-        (all_different(3), [[1, 2], [1, 2], [1, 2, 3]]),
-        (sum_equals(0, 3), [[-3, 0, 3], [-1, 1], [0, 2]]),
+        (
+            sum_equals(15, 3),
+            [[1, 10], [2, 3], [2, 3]],
+            [[10], [2, 3], [2, 3]],
+            [[10], [2, 3], [2, 3]],
+        ),
+        (
+            all_different(3),
+            [[1, 2], [1, 2], [1, 2, 3]],
+            [[1, 2], [1, 2], [3]],
+            [[1, 2], [1, 2], [3]],
+        ),
+        (
+            sum_equals(0, 3),
+            [[-3, 0, 3], [-1, 1], [0, 2]],
+            [[-3], [1], [2]],
+            [[-3, 0], [-1, 1], [0, 2]],
+        ),
+        # The support (-2, 0, 2) found for x0 leaves x1's hull once -2 goes
+        # from x1; reusing it for x2 = 2 would answer {-2}, {1}, {2}.
+        (sum_equals(0, 3), [[-2], [-2, 1], [-2, 2]], None, None),
     ],
-    ids=["sum=15", "alldiff", "sum=0"],
+    ids=["sum=15", "alldiff", "sum=0", "sum=0-stale-witness"],
 )
-def test_domain_supports_take_one_pass(checker, domains):
-    # arc and bound-D reach their fixpoint in one marking pass, even when
-    # they prune: every tuple of the product is checked exactly once.
+def test_support_searches_stay_in_the_search_space(
+    checker, domains, by_domains, by_intervals
+):
+    # Every predicate call is a tuple of the level's search space: the
+    # domain product for arc and bound-D, the hull product for bound-Z and
+    # range.
     inst = Instance.of(domains)
-    for level, f in (("arc", arc_filter), ("boundd", bound_d_filter)):
+    hulls = [range(min(d), max(d) + 1) for d in domains]
+    for level, f in LEVEL_FUNCS.items():
+        intervals = level in ("boundz", "range")
         counted, calls = counting(checker)
-        out = f(counted, inst)
-        assert out != Filtered(inst), level
-        assert sorted(calls) == sorted(itertools.product(*domains)), level
+        expected = by_intervals if intervals else by_domains
+        assert f(counted, inst) == as_outcome(expected), level
+        space = set(itertools.product(*(hulls if intervals else domains)))
+        assert calls and set(calls) <= space, level
+
+
+# Predicate calls per (level, checker) on 40 default-config instances, each
+# the count the support search with witnesses makes. A full pass over the
+# product, at any level, makes more calls on every alldiff and sum=0 entry.
+CALL_BUDGET = {
+    ("arc", "alldiff"): 7_413,
+    ("arc", "sum=0"): 7_437,
+    ("arc", "sum=6"): 27_006,
+    ("boundz", "alldiff"): 13_831,
+    ("boundz", "sum=0"): 11_289,
+    ("boundz", "sum=6"): 83_719,
+    ("boundd", "alldiff"): 4_794,
+    ("boundd", "sum=0"): 4_428,
+    ("boundd", "sum=6"): 19_763,
+    ("range", "alldiff"): 21_233,
+    ("range", "sum=0"): 20_486,
+    ("range", "sum=6"): 118_980,
+}
+
+
+@pytest.mark.parametrize("level,name", sorted(CALL_BUDGET))
+def test_predicate_calls_within_budget(level, name):
+    cfg = GenConfig()
+    rng = SplitMix64(2024)
+    instances = [generate_instance(rng, cfg) for _ in range(40)]
+    checker = {
+        "alldiff": all_different(cfg.n_vars),
+        "sum=0": sum_equals(0, cfg.n_vars),
+        "sum=6": sum_equals(6, cfg.n_vars),
+    }[name]
+    counted, calls = counting(checker)
+    for inst in instances:
+        LEVEL_FUNCS[level](counted, inst)
+    assert len(calls) <= CALL_BUDGET[level, name]
