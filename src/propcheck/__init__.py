@@ -73,6 +73,7 @@ from .stateful import (
     dive_campaign,
     dives,
     random_restriction,
+    replay,
 )
 
 __version__ = "0.1.0"

@@ -21,15 +21,7 @@ import sys
 from typing import Any, Callable, Optional, Sequence
 
 from . import checkers, minisolver, reference
-from .comparator import (
-    ComparisonMode,
-    Failure,
-    Filter,
-    TestReport,
-    _disagreement,
-    check,
-    stronger,
-)
+from .comparator import ComparisonMode, Filter, TestReport, check, disagreement, stronger
 from .domains import (
     INCONSISTENT,
     INT32_MAX,
@@ -38,12 +30,12 @@ from .domains import (
     Filtered,
     FilterOutcome,
     Instance,
-    pointwise_equal,
 )
 from .generator import GenConfig
 from .stateful import (
     POP,
     PUSH,
+    RELATIONS,
     BranchOp,
     DiveConfig,
     FilterWithState,
@@ -52,7 +44,7 @@ from .stateful import (
     Push,
     RestrictDomain,
     dive_campaign,
-    _tested_outcome,
+    replay,
 )
 
 EXIT_PASS = 0
@@ -62,7 +54,6 @@ EXIT_CAP = 3
 EXIT_NO_REPRODUCE = 4
 
 _LEVELS = {lvl.value: lvl for lvl in reference.ConsistencyLevel}
-_RECIPES = ("sum-bc", "alldiff-fc", "alldiff-ac")
 
 
 class UsageError(Exception):
@@ -73,16 +64,32 @@ class UsageError(Exception):
 # Spec string parsing
 
 
+def _sum_total(spec: str) -> Optional[int]:
+    """The total of a sum=<c> checker spec; None for any other spec."""
+    if not spec.startswith("sum="):
+        return None
+    try:
+        return int(spec[4:])
+    except ValueError:
+        raise UsageError(f"invalid sum target in checker {spec!r}")
+
+
 def parse_checker(spec: str, arity: int) -> checkers.Checker:
     if spec == "alldiff":
         return checkers.all_different(arity)
-    if spec.startswith("sum="):
-        try:
-            total = int(spec[4:])
-        except ValueError:
-            raise UsageError(f"invalid sum target in checker {spec!r}")
-        return checkers.sum_equals(total, arity)
-    raise UsageError(f"unknown checker {spec!r}; valid checkers: alldiff, sum=<c>")
+    total = _sum_total(spec)
+    if total is None:
+        raise UsageError(f"unknown checker {spec!r}; valid checkers: alldiff, sum=<c>")
+    return checkers.sum_equals(total, arity)
+
+
+def _level(name: str) -> reference.ConsistencyLevel:
+    if name not in _LEVELS:
+        raise UsageError(
+            f"unknown consistency level {name!r}; "
+            f"valid levels: {', '.join(sorted(_LEVELS))}"
+        )
+    return _LEVELS[name]
 
 
 def parse_reference_spec(spec: str, arity: int) -> Filter:
@@ -92,38 +99,23 @@ def parse_reference_spec(spec: str, arity: int) -> Filter:
             f"reference spec {spec!r} must look like <level>:<checker>, "
             f"e.g. boundz:sum=15"
         )
-    if level_name not in _LEVELS:
-        raise UsageError(
-            f"unknown consistency level {level_name!r}; "
-            f"valid levels: {', '.join(sorted(_LEVELS))}"
-        )
-    checker = parse_checker(checker_spec, arity)
-    return reference.make_reference(_LEVELS[level_name], checker)
+    return reference.make_reference(_level(level_name), parse_checker(checker_spec, arity))
 
 
 def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
     base, _, bug_part = spec.partition("+bug:")
-    if base == "sum-bc":
-        _, _, checker_spec = trusted_spec.partition(":")
-        if not checker_spec.startswith("sum="):
-            raise UsageError(
-                "recipe sum-bc needs a sum=<c> checker on the trusted side "
-                "to know its target"
-            )
-        try:
-            total = int(checker_spec[4:])
-        except ValueError:
-            raise UsageError(f"invalid sum target in checker {checker_spec!r}")
-        recipe = minisolver.sum_equals_bc(total)
-    elif base == "alldiff-fc":
-        recipe = minisolver.all_different_fc()
-    elif base == "alldiff-ac":
-        recipe = minisolver.all_different_ac()
-    else:
+    kind = minisolver.RECIPES.get(base)
+    if kind is None:
         raise UsageError(
-            f"unknown recipe {base!r}; valid recipes: {', '.join(_RECIPES)} "
+            f"unknown recipe {base!r}; valid recipes: {', '.join(minisolver.RECIPES)} "
             f"(or a <level>:<checker> reference)"
         )
+    total = _sum_total(trusted_spec.partition(":")[2]) if kind.needs_total else None
+    if kind.needs_total and total is None:
+        raise UsageError(
+            f"recipe {base} needs a sum=<c> checker on the trusted side to know its target"
+        )
+    recipe = minisolver.Recipe(base, total)
     if bug_part:
         name = bug_part if bug_part.startswith("BUG_") or bug_part == "NONE" else f"BUG_{bug_part}"
         try:
@@ -131,7 +123,10 @@ def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
         except ValueError:
             valid = ", ".join(b.value for b in minisolver.BugId)
             raise UsageError(f"unknown bug id {bug_part!r}; valid: {valid}")
-        recipe = minisolver.with_bug(bug, recipe)
+        try:
+            recipe = minisolver.with_bug(bug, recipe)
+        except ContractViolationError as exc:
+            raise UsageError(str(exc))
     return recipe
 
 
@@ -159,6 +154,10 @@ def instance_to_doc(inst: Instance) -> dict:
     return {"domains": [list(d.values) for d in inst.domains]}
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def instance_from_doc(doc: Any) -> Instance:
     if not isinstance(doc, dict) or "domains" not in doc:
         raise UsageError('instance document must be an object with a "domains" key')
@@ -169,9 +168,7 @@ def instance_from_doc(doc: Any) -> Instance:
     if not isinstance(allow_empty, bool):
         raise UsageError('"allowEmpty" must be true or false')
     for values in domains:
-        if not isinstance(values, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in values
-        ):
+        if not isinstance(values, list) or not all(_is_int(v) for v in values):
             raise UsageError("each domain must be a list of integers")
         if not values and not allow_empty:
             raise UsageError('empty domain requires "allowEmpty": true')
@@ -183,16 +180,16 @@ def instance_from_doc(doc: Any) -> Instance:
 def outcome_to_doc(outcome: FilterOutcome) -> dict:
     if outcome is INCONSISTENT:
         return {"status": "inconsistent"}
-    return {
-        "status": "filtered",
-        "domains": [list(d.values) for d in outcome.instance.domains],
-    }
+    return {"status": "filtered", **instance_to_doc(outcome.instance)}
 
 
 def outcome_from_doc(doc: Any) -> FilterOutcome:
-    if doc.get("status") == "inconsistent":
+    status = doc.get("status") if isinstance(doc, dict) else None
+    if status == "inconsistent":
         return INCONSISTENT
-    return Filtered(Instance.of(doc["domains"]))
+    if status != "filtered":
+        raise UsageError('an outcome must have "status": "inconsistent" or "filtered"')
+    return Filtered(instance_from_doc({"domains": doc.get("domains")}))
 
 
 def branch_op_to_doc(op: BranchOp) -> dict:
@@ -209,14 +206,17 @@ def branch_op_to_doc(op: BranchOp) -> dict:
 
 
 def branch_op_from_doc(doc: Any) -> BranchOp:
-    kind = doc.get("op")
+    kind = doc.get("op") if isinstance(doc, dict) else None
     if kind == "push":
         return PUSH
     if kind == "pop":
         return POP
-    if kind == "restrict":
-        return RestrictDomain(doc["index"], doc["relation"], doc["constant"])
-    raise UsageError(f"unknown branch op {kind!r} in transcript")
+    if kind != "restrict":
+        raise UsageError(f"unknown branch op {kind!r} in transcript")
+    index, relation, constant = (doc.get(k) for k in ("index", "relation", "constant"))
+    if not (_is_int(index) and relation in RELATIONS and _is_int(constant)):
+        raise UsageError(f"invalid restrict op {doc!r} in transcript")
+    return RestrictDomain(index, relation, constant)
 
 
 def report_to_doc(
@@ -271,15 +271,11 @@ def _gen_config(args: argparse.Namespace) -> GenConfig:
         raise UsageError(str(exc))
 
 
-def _config_doc(args: argparse.Namespace, **extra: Any) -> dict:
-    doc = {
-        "vars": args.vars,
-        "min": args.min,
-        "max": args.max,
-        "density": args.density,
-    }
-    doc.update(extra)
-    return doc
+def _print_report(report: TestReport, mode: str, args: argparse.Namespace, **extra: Any) -> int:
+    config = {"vars": args.vars, "min": args.min, "max": args.max, "density": args.density}
+    doc = report_to_doc(report, mode, args.trusted, args.tested, {**config, **extra})
+    print(json.dumps(doc))
+    return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -287,16 +283,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     trusted = parse_reference_spec(args.trusted, args.vars)
     tested = parse_tested_filter(args.tested, args.trusted, args.vars)
     runner = check if args.mode == "check" else stronger
-    report = runner(trusted, tested, cfg)
-    doc = report_to_doc(
-        report,
-        args.mode,
-        args.trusted,
-        args.tested,
-        _config_doc(args, tests=args.tests),
-    )
-    print(json.dumps(doc))
-    return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
+    return _print_report(runner(trusted, tested, cfg), args.mode, args, tests=args.tests)
 
 
 def cmd_dive(args: argparse.Namespace) -> int:
@@ -310,15 +297,7 @@ def cmd_dive(args: argparse.Namespace) -> int:
     trusted_factory = lambda: IncrementalFiltering(trusted_base)
     tested_factory = parse_tested_stateful(args.tested, args.trusted, args.vars)
     report = dive_campaign(trusted_factory, tested_factory, cfg, dive_cfg)
-    doc = report_to_doc(
-        report,
-        "dives",
-        args.trusted,
-        args.tested,
-        _config_doc(args, dives=args.dives, maxDepth=args.max_depth),
-    )
-    print(json.dumps(doc))
-    return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
+    return _print_report(report, "dives", args, dives=args.dives, maxDepth=args.max_depth)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -327,46 +306,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON on stdin: {exc}")
     inst = instance_from_doc(doc)
-    if args.level not in _LEVELS:
-        raise UsageError(
-            f"unknown consistency level {args.level!r}; "
-            f"valid levels: {', '.join(sorted(_LEVELS))}"
-        )
-    checker = parse_checker(args.checker, inst.arity)
-    filt = reference.make_reference(_LEVELS[args.level], checker)
+    filt = reference.make_reference(_level(args.level), parse_checker(args.checker, inst.arity))
     print(json.dumps(outcome_to_doc(filt.apply(inst))))
     return EXIT_PASS
 
 
-def _replay_static(doc: dict) -> int:
-    mode = (
-        ComparisonMode.EQUALITY if doc["mode"] == "check"
-        else ComparisonMode.TESTED_SUBSET_OF_TRUSTED
-    )
-    arity = doc["config"]["vars"]
-    trusted = parse_reference_spec(doc["trusted"], arity)
-    tested = parse_tested_filter(doc["tested"], doc["trusted"], arity)
-    shrunk = instance_from_doc(doc["counterexample"]["shrunk"])
-    found = _disagreement(trusted, tested, shrunk, mode)
-    return EXIT_COUNTEREXAMPLE if found is not None else EXIT_NO_REPRODUCE
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
 
 
-def _replay_dives(doc: dict) -> int:
-    arity = doc["config"]["vars"]
-    trusted = IncrementalFiltering(parse_reference_spec(doc["trusted"], arity))
-    tested = parse_tested_stateful(doc["tested"], doc["trusted"], arity)()
-    ce = doc["counterexample"]
-    shrunk = instance_from_doc(ce["shrunk"])
-    trusted_out = trusted.setup(shrunk)
-    tested_out = _tested_outcome(lambda: tested.setup(shrunk))
-    if not pointwise_equal(trusted_out, tested_out):
-        return EXIT_COUNTEREXAMPLE
-    for op_doc in ce.get("transcript", []):
-        op = branch_op_from_doc(op_doc)
-        trusted_out = trusted.branch_and_filter(op)
-        tested_out = _tested_outcome(lambda: tested.branch_and_filter(op))
-        if not pointwise_equal(trusted_out, tested_out):
-            return EXIT_COUNTEREXAMPLE
+def _field(doc: dict, key: str, kind: type) -> Any:
+    value = doc.get(key)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise UsageError(f"report field {key!r} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _not_reproduced(what: str) -> int:
+    print(f"not reproduced: {what}", file=sys.stderr)
     return EXIT_NO_REPRODUCE
 
 
@@ -378,13 +334,47 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read report: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"report is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError("report must be a JSON object")
     if doc.get("passed", True) or doc.get("counterexample") is None:
         raise UsageError("report has no counterexample; nothing to replay")
-    if doc.get("mode") == "dives":
-        return _replay_dives(doc)
-    if doc.get("mode") in ("check", "stronger"):
-        return _replay_static(doc)
-    raise UsageError(f"unknown report mode {doc.get('mode')!r}")
+    mode = doc.get("mode")
+    if mode not in ("check", "stronger", "dives"):
+        raise UsageError(f"unknown report mode {mode!r}")
+    arity = _field(_field(doc, "config", dict), "vars", int)
+    if arity < 1:
+        raise UsageError("report field 'vars' must be >= 1")
+    trusted_spec, tested_spec = _field(doc, "trusted", str), _field(doc, "tested", str)
+    ce = _field(doc, "counterexample", dict)
+    shrunk = instance_from_doc(ce.get("shrunk"))
+    recorded = (
+        _field(ce, "reason", str),
+        outcome_from_doc(ce.get("trusted")),
+        outcome_from_doc(ce.get("tested")),
+    )
+    trusted = parse_reference_spec(trusted_spec, arity)
+    if mode == "dives":
+        ops = [branch_op_from_doc(op) for op in _field(ce, "transcript", list)]
+        tested = parse_tested_stateful(tested_spec, trusted_spec, arity)()
+        failure = replay(shrunk, ops, IncrementalFiltering(trusted), tested)
+        if failure is None:
+            found = None
+        elif len(failure.transcript) < len(ops):
+            return _not_reproduced(
+                f"the outcomes already differ after {len(failure.transcript)} "
+                f"of the {len(ops)} transcript ops"
+            )
+        else:
+            found = (failure.reason, failure.trusted_outcome, failure.tested_outcome)
+    else:
+        tested = parse_tested_filter(tested_spec, trusted_spec, arity)
+        found = disagreement(trusted, tested, shrunk, ComparisonMode(mode))
+    if found is None:
+        return _not_reproduced("the filters agree on the shrunk instance")
+    for what, got, want in zip(("reason", "trusted outcome", "tested outcome"), found, recorded):
+        if got != want:
+            return _not_reproduced(f"the {what} is {got!r}, not the recorded {want!r}")
+    return EXIT_COUNTEREXAMPLE
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def _contracting(inp: Instance, out: FilterOutcome) -> bool:
     return out.instance.pointwise_subset_of(inp)
 
 
-def _disagreement(
+def disagreement(
     trusted: Filter, tested: Filter, inst: Instance, mode: ComparisonMode
 ) -> Optional[tuple[str, FilterOutcome, FilterOutcome]]:
     """None when the pair agrees on `inst`, else (reason, trusted, tested)."""
@@ -97,7 +97,7 @@ def _disagreement(
     return None
 
 
-def _draw_instance(
+def draw_instance(
     rng: SplitMix64, cfg: GenConfig, cap: int
 ) -> tuple[Instance, int]:
     """Generate an instance small enough to enumerate; re-draw oversized ones."""
@@ -133,17 +133,17 @@ def _run_campaign(
     rng = SplitMix64(cfg.seed)
     redraws = 0
     for test_index in range(cfg.n_tests):
-        inst, drawn = _draw_instance(rng, cfg, cap)
+        inst, drawn = draw_instance(rng, cfg, cap)
         redraws += drawn
-        found = _disagreement(trusted, tested, inst, mode)
+        found = disagreement(trusted, tested, inst, mode)
         if found is None:
             continue
 
         def still_fails(candidate: Instance) -> bool:
-            return _disagreement(trusted, tested, candidate, mode) is not None
+            return disagreement(trusted, tested, candidate, mode) is not None
 
         result = shrink(inst, still_fails, budget=shrink_budget)
-        reason, trusted_out, tested_out = _disagreement(
+        reason, trusted_out, tested_out = disagreement(
             trusted, tested, result.instance, mode
         )
         return TestReport(

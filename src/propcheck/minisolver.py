@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .domains import (
     INCONSISTENT,
@@ -36,10 +36,6 @@ class Trail:
     def __init__(self) -> None:
         self._entries: list[tuple["TrailedVar", int]] = []
         self._marks: list[int] = []
-
-    @property
-    def frames(self) -> int:
-        return len(self._marks)
 
     def record(self, var: "TrailedVar", value: int) -> None:
         self._entries.append((var, value))
@@ -71,9 +67,6 @@ class TrailedVar:
 
     def values(self) -> tuple[int, ...]:
         return tuple(sorted(self._values))
-
-    def size(self) -> int:
-        return len(self._values)
 
     def is_fixed(self) -> bool:
         return len(self._values) == 1
@@ -134,14 +127,11 @@ class Propagator:
 class Solver:
     """Single-owner micro-solver: variables, trail, FIFO propagation queue."""
 
-    def __init__(self, queue_policy: str = "fifo") -> None:
-        if queue_policy not in ("fifo", "lifo"):
-            raise ValueError("queue_policy must be 'fifo' or 'lifo'")
+    def __init__(self) -> None:
         self.trail = Trail()
         self.variables: list[TrailedVar] = []
         self.propagators: list[Propagator] = []
         self._queue: deque[Propagator] = deque()
-        self._policy = queue_policy
 
     def int_var(self, values: Iterable[int]) -> TrailedVar:
         var = TrailedVar(self, len(self.variables), values)
@@ -171,7 +161,7 @@ class Solver:
     def fixpoint(self) -> None:
         try:
             while self._queue:
-                p = self._queue.popleft() if self._policy == "fifo" else self._queue.pop()
+                p = self._queue.popleft()
                 p.queued = False
                 p.propagate()
         except Inconsistency:
@@ -407,14 +397,33 @@ class AllDifferentAC(Propagator):
                     var.remove_value(v)
 
 
+class RecipeKind(NamedTuple):
+    """A propagator, whether it takes a sum total first, and its bugs besides NONE."""
+
+    propagator: type
+    needs_total: bool
+    bugs: tuple[BugId, ...]
+
+
+_TRAIL = BugId.BUG_TRAIL_NO_RESTORE
+RECIPES = {
+    "sum-bc": RecipeKind(SumEqualsBC, True, (BugId.BUG_SUM_REVERSED_BOUND, _TRAIL)),
+    "alldiff-fc": RecipeKind(AllDifferentFC, False, (BugId.BUG_ALLDIFF_FC_SKIP_LAST, _TRAIL)),
+    "alldiff-ac": RecipeKind(AllDifferentAC, False, (_TRAIL,)),
+}
+
+
 @dataclass(frozen=True)
 class Recipe:
-    """A named propagator construction, optionally with an injected bug."""
+    """A propagator construction named in RECIPES, optionally with an injected bug."""
 
-    name: str
-    kind: str  # "sum-bc" | "alldiff-fc" | "alldiff-ac"
-    total: Optional[int] = None
+    kind: str
+    total: Optional[int] = None  # the target of a kind that needs one
     bug: BugId = BugId.NONE
+
+    @property
+    def name(self) -> str:
+        return self.kind if self.total is None else f"{self.kind}:{self.total}"
 
     def display_name(self) -> str:
         if self.bug is BugId.NONE:
@@ -422,61 +431,61 @@ class Recipe:
         return f"{self.name}+bug:{self.bug.value}"
 
     def build(self, solver: Solver, scope: list[TrailedVar]) -> None:
-        if self.kind == "sum-bc":
-            solver.post(SumEqualsBC(self.total, scope, self.bug))
-        elif self.kind == "alldiff-fc":
-            solver.post(AllDifferentFC(scope, self.bug))
-        elif self.kind == "alldiff-ac":
-            solver.post(AllDifferentAC(scope, self.bug))
-        else:
-            raise ValueError(f"unknown recipe kind {self.kind!r}")
+        kind = RECIPES[self.kind]
+        args = (self.total, scope) if kind.needs_total else (scope,)
+        solver.post(kind.propagator(*args, self.bug))
 
 
 def sum_equals_bc(total: int) -> Recipe:
-    return Recipe(name=f"sum-bc:{total}", kind="sum-bc", total=total)
+    return Recipe("sum-bc", total)
 
 
 def all_different_fc() -> Recipe:
-    return Recipe(name="alldiff-fc", kind="alldiff-fc")
+    return Recipe("alldiff-fc")
 
 
 def all_different_ac() -> Recipe:
-    return Recipe(name="alldiff-ac", kind="alldiff-ac")
-
-
-_BUG_COMPAT = {
-    BugId.NONE: ("sum-bc", "alldiff-fc", "alldiff-ac"),
-    BugId.BUG_SUM_REVERSED_BOUND: ("sum-bc",),
-    BugId.BUG_ALLDIFF_FC_SKIP_LAST: ("alldiff-fc",),
-    BugId.BUG_TRAIL_NO_RESTORE: ("sum-bc", "alldiff-fc", "alldiff-ac"),
-}
+    return Recipe("alldiff-ac")
 
 
 def with_bug(bug: BugId, recipe: Recipe) -> Recipe:
-    if recipe.kind not in _BUG_COMPAT[bug]:
+    accepted = RECIPES[recipe.kind].bugs
+    if bug is not BugId.NONE and bug not in accepted:
         raise ContractViolationError(
-            f"bug {bug.value} does not apply to recipe {recipe.name!r}"
+            f"bug {bug.value} does not apply to recipe {recipe.name!r}; "
+            f"it accepts {', '.join(b.value for b in accepted)}"
         )
     return replace(recipe, bug=bug)
+
+
+def _solver_for(
+    recipe: Recipe, arity: int, inst: Instance
+) -> tuple[Optional[Solver], list[TrailedVar], bool]:
+    """A fresh solver over `inst` with `recipe` posted, its variables, and
+    whether the root failed; there is no solver when a domain is empty."""
+    if inst.arity != arity:
+        raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
+    if any(d.is_empty() for d in inst.domains):
+        return None, [], True
+    solver = Solver()
+    scope = [solver.int_var(d.values) for d in inst.domains]
+    try:
+        recipe.build(solver, scope)
+    except Inconsistency:
+        return solver, scope, True
+    return solver, scope, False
+
+
+def _outcome(scope: list[TrailedVar], failed: bool) -> FilterOutcome:
+    return INCONSISTENT if failed else Filtered(Instance(Domain(v.values()) for v in scope))
 
 
 def as_filter(recipe: Recipe, arity: int) -> Filter:
     """A static Filter running a fresh solver per application."""
 
     def apply(inst: Instance) -> FilterOutcome:
-        if inst.arity != arity:
-            raise ContractViolationError(
-                f"instance arity {inst.arity} != filter arity {arity}"
-            )
-        if any(d.is_empty() for d in inst.domains):
-            return INCONSISTENT
-        solver = Solver()
-        scope = [solver.int_var(d.values) for d in inst.domains]
-        try:
-            recipe.build(solver, scope)
-        except Inconsistency:
-            return INCONSISTENT
-        return Filtered(Instance(Domain(v.values()) for v in scope))
+        _, scope, failed = _solver_for(recipe, arity, inst)
+        return _outcome(scope, failed)
 
     return Filter(arity=arity, apply=apply, name=recipe.display_name())
 
@@ -494,29 +503,12 @@ class SolverBackedStateful(FilterWithState):
         self._failed = False
         self._setup_done = False
 
-    def _outcome(self) -> FilterOutcome:
-        if self._failed:
-            return INCONSISTENT
-        return Filtered(Instance(Domain(v.values()) for v in self._scope))
-
     def setup(self, root: Instance) -> FilterOutcome:
         if self._setup_done:
             raise ContractViolationError("setup called twice")
         self._setup_done = True
-        if root.arity != self._arity:
-            raise ContractViolationError(
-                f"instance arity {root.arity} != filter arity {self._arity}"
-            )
-        if any(d.is_empty() for d in root.domains):
-            self._failed = True
-            return INCONSISTENT
-        self._solver = Solver()
-        self._scope = [self._solver.int_var(d.values) for d in root.domains]
-        try:
-            self._recipe.build(self._solver, self._scope)
-        except Inconsistency:
-            self._failed = True
-        return self._outcome()
+        self._solver, self._scope, self._failed = _solver_for(self._recipe, self._arity, root)
+        return _outcome(self._scope, self._failed)
 
     def branch_and_filter(self, op: BranchOp) -> FilterOutcome:
         if not self._setup_done:
@@ -551,7 +543,7 @@ class SolverBackedStateful(FilterWithState):
                     solver.fixpoint()
                 except Inconsistency:
                     self._failed = True
-        return self._outcome()
+        return _outcome(self._scope, self._failed)
 
 
 def as_filter_with_state(recipe: Recipe, arity: int) -> SolverBackedStateful:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Generator, Optional, Sequence, Union
 
 from .domains import (
     INCONSISTENT,
@@ -26,7 +26,7 @@ from .domains import (
     is_leaf,
     pointwise_equal,
 )
-from .comparator import ComparisonMode, Failure, TestReport, _draw_instance
+from .comparator import ComparisonMode, Failure, TestReport, draw_instance
 from .generator import DEFAULT_SHRINK_BUDGET, GenConfig, SplitMix64, shrink
 from .reference import DEFAULT_CAP
 
@@ -162,6 +162,55 @@ def _tested_outcome(call: Callable[[], FilterOutcome]) -> FilterOutcome:
         return INCONSISTENT
 
 
+_AFTER = {Push: "push", Pop: "pop", RestrictDomain: "restriction"}
+
+
+def _first_difference(
+    root: Instance,
+    trusted: FilterWithState,
+    tested: FilterWithState,
+    next_op: Callable[[FilterOutcome], Optional[BranchOp]],
+) -> Optional[Failure]:
+    """Set both subjects up on `root`, then apply the operations that
+    `next_op` gives for each trusted outcome until it gives None, comparing
+    outcomes after every step. Returns the first disagreement, whose
+    transcript ends with the operation it appeared at, or None."""
+    transcript: list[BranchOp] = []
+    op: Optional[BranchOp] = None
+    while True:
+        if op is None:
+            trusted_out = trusted.setup(root)
+            tested_out = _tested_outcome(lambda: tested.setup(root))
+        else:
+            transcript.append(op)
+            trusted_out = trusted.branch_and_filter(op)
+            tested_out = _tested_outcome(lambda: tested.branch_and_filter(op))
+        if not pointwise_equal(trusted_out, tested_out):
+            return Failure(
+                original=root,
+                shrunk=root,
+                trusted_outcome=trusted_out,
+                tested_outcome=tested_out,
+                mode=ComparisonMode.EQUALITY,
+                reason=f"outcomes differ after {_AFTER.get(type(op), 'setup')}",
+                transcript=tuple(transcript),
+            )
+        op = next_op(trusted_out)
+        if op is None:
+            return None
+
+
+def replay(
+    root: Instance,
+    transcript: Sequence[BranchOp],
+    trusted: FilterWithState,
+    tested: FilterWithState,
+) -> Optional[Failure]:
+    """The first disagreement of fresh subjects driven from `root` through `transcript`."""
+    ops = iter(transcript)
+    return _first_difference(root, trusted, tested, lambda _: next(ops, None))
+
+
 def dives(
     root: Instance,
     trusted: FilterWithState,
@@ -178,75 +227,39 @@ def dives(
     """
     if rng is None:
         rng = SplitMix64(cfg.seed)
-    transcript: list[BranchOp] = []
-
-    def mismatch_report(
-        dives_done: int, trusted_out: FilterOutcome, tested_out: FilterOutcome, reason: str
-    ) -> TestReport:
-        return TestReport(
-            passed=False,
-            tests_run=dives_done,
-            seed=cfg.seed,
-            failure=Failure(
-                original=root,
-                shrunk=root,
-                trusted_outcome=trusted_out,
-                tested_outcome=tested_out,
-                mode=ComparisonMode.EQUALITY,
-                reason=reason,
-                transcript=tuple(transcript),
-            ),
-        )
-
-    trusted_out = trusted.setup(root)
-    tested_out = _tested_outcome(lambda: tested.setup(root))
-    if not pointwise_equal(trusted_out, tested_out):
-        return mismatch_report(0, trusted_out, tested_out, "outcomes differ after setup")
-
-    def step(op: BranchOp) -> tuple[FilterOutcome, FilterOutcome]:
-        transcript.append(op)
-        t = trusted.branch_and_filter(op)
-        s = _tested_outcome(lambda: tested.branch_and_filter(op))
-        return t, s
-
     dives_done = 0
-    push_count = 0
-    current = trusted_out
-    while dives_done < cfg.nb_dives:
-        depth = 0
-        while not is_leaf(current) and depth < cfg.max_depth:
-            trusted_out, tested_out = step(PUSH)
-            push_count += 1
-            if not pointwise_equal(trusted_out, tested_out):
-                return mismatch_report(
-                    dives_done, trusted_out, tested_out, "outcomes differ after push"
+
+    def plan() -> Generator[Optional[BranchOp], FilterOutcome, None]:
+        nonlocal dives_done
+        current = yield None  # primed; then sent the setup outcome
+        push_count = 0
+        while dives_done < cfg.nb_dives:
+            depth = 0
+            while not is_leaf(current) and depth < cfg.max_depth:
+                yield PUSH
+                push_count += 1
+                current = yield random_restriction(rng, current.instance)
+                depth += 1
+            if not is_leaf(current):
+                logging.getLogger(__name__).warning(
+                    "dive reached max_depth=%d without a leaf; treating as one",
+                    cfg.max_depth,
                 )
-            restriction = random_restriction(rng, current.instance)
-            trusted_out, tested_out = step(restriction)
-            depth += 1
-            if not pointwise_equal(trusted_out, tested_out):
-                return mismatch_report(
-                    dives_done, trusted_out, tested_out, "outcomes differ after restriction"
-                )
-            current = trusted_out
-        if not is_leaf(current):
-            logging.getLogger(__name__).warning(
-                "dive reached max_depth=%d without a leaf; treating as one",
-                cfg.max_depth,
-            )
-        dives_done += 1
-        if push_count == 0:
-            break  # the root itself is a leaf; nothing to pop or restrict
-        n_pops = 1 if push_count == 1 else 1 + rng.next_below(push_count - 1)
-        for _ in range(n_pops):
-            trusted_out, tested_out = step(POP)
-            push_count -= 1
-            if not pointwise_equal(trusted_out, tested_out):
-                return mismatch_report(
-                    dives_done, trusted_out, tested_out, "outcomes differ after pop"
-                )
-        current = trusted_out
-    return TestReport(passed=True, tests_run=dives_done, seed=cfg.seed)
+            dives_done += 1
+            if push_count == 0:
+                break  # the root itself is a leaf; nothing to pop or restrict
+            n_pops = 1 if push_count == 1 else 1 + rng.next_below(push_count - 1)
+            for _ in range(n_pops):
+                current = yield POP
+                push_count -= 1
+        yield None
+
+    ops = plan()
+    next(ops)
+    failure = _first_difference(root, trusted, tested, ops.send)
+    return TestReport(
+        passed=failure is None, tests_run=dives_done, seed=cfg.seed, failure=failure
+    )
 
 
 def dive_campaign(
@@ -263,7 +276,7 @@ def dive_campaign(
     operation sequence decisions replay while the root is being shrunk.
     """
     rng = SplitMix64(gen_cfg.seed)
-    root, redraws = _draw_instance(rng, gen_cfg, cap)
+    root, redraws = draw_instance(rng, gen_cfg, cap)
     dive_seed = rng.next_u64()
 
     def run(inst: Instance) -> TestReport:

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, JSON documents, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +23,10 @@ from propcheck.cli import (
     main,
     outcome_from_doc,
     outcome_to_doc,
+    parse_recipe,
 )
 from propcheck.domains import INCONSISTENT, Filtered
+from propcheck.minisolver import RECIPES, BugId
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +325,131 @@ class TestReplay:
     def test_missing_report_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "replay", "--report", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE
+
+    STATIC = (
+        "run", "--mode", "check",
+        "--trusted", "boundz:sum=0", "--tested", "sum-bc+bug:SUM_REVERSED_BOUND",
+        "--vars", "3", "--tests", "100",
+    )
+    DIVE = (
+        "dive", "--trusted", "boundz:sum=0", "--tested", "sum-bc+bug:TRAIL_NO_RESTORE",
+        "--vars", "3", "--dives", "20", "--seed", "0",
+    )
+
+    def replay_tampered(self, capsys, tmp_path, argv, tamper):
+        path = self.capture_failing_report(capsys, tmp_path, *argv)
+        path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+        return run_cli(capsys, "replay", "--report", str(path))
+
+    @staticmethod
+    def with_ce(doc, **fields):
+        return {**doc, "counterexample": {**doc["counterexample"], **fields}}
+
+    @pytest.mark.parametrize(
+        "argv,tamper",
+        [
+            pytest.param(
+                STATIC, lambda d: {k: v for k, v in d.items() if k != "config"},
+                id="no-config",
+            ),
+            pytest.param(STATIC, lambda d: [d], id="top-level-list"),
+            pytest.param(
+                DIVE, lambda d: TestReplay.with_ce(d, transcript={"op": "push"}),
+                id="transcript-object",
+            ),
+            pytest.param(
+                DIVE,
+                lambda d: TestReplay.with_ce(d, transcript=[
+                    {**op, "relation": "~"} if op["op"] == "restrict" else op
+                    for op in d["counterexample"]["transcript"]
+                ]),
+                id="unknown-relation",
+            ),
+            pytest.param(
+                STATIC, lambda d: {**d, "config": {**d["config"], "vars": "3"}},
+                id="vars-string",
+            ),
+        ],
+    )
+    def test_malformed_report_is_usage_error(self, capsys, tmp_path, argv, tamper):
+        code, out, err = self.replay_tampered(capsys, tmp_path, argv, tamper)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,tamper,what",
+        [
+            pytest.param(
+                STATIC,
+                lambda d: TestReplay.with_ce(
+                    d, tested={"status": "filtered", "domains": [[9], [9], [9]]}
+                ),
+                "tested outcome",
+                id="static-tested-outcome",
+            ),
+            pytest.param(
+                DIVE,
+                lambda d: TestReplay.with_ce(
+                    d, transcript=d["counterexample"]["transcript"] + [{"op": "push"}]
+                ),
+                "already differ",
+                id="dive-ops-after-the-disagreement",
+            ),
+            pytest.param(
+                DIVE,
+                lambda d: TestReplay.with_ce(d, reason="outcomes differ after setup"),
+                "reason",
+                id="dive-reason",
+            ),
+        ],
+    )
+    def test_other_disagreement_does_not_reproduce(self, capsys, tmp_path, argv, tamper, what):
+        code, out, err = self.replay_tampered(capsys, tmp_path, argv, tamper)
+        assert code == EXIT_NO_REPRODUCE
+        assert out == ""
+        assert err.startswith("not reproduced: ") and err.count("\n") == 1
+        assert what in err
+
+    @pytest.mark.parametrize("argv", [STATIC, DIVE], ids=["static", "dive"])
+    def test_reproduced_report_prints_nothing(self, capsys, tmp_path, argv):
+        code, out, err = self.replay_tampered(capsys, tmp_path, argv, lambda d: d)
+        assert (code, out, err) == (EXIT_COUNTEREXAMPLE, "", "")
+
+
+class TestRecipeRegistry:
+    @pytest.mark.parametrize(
+        "name,bug",
+        [
+            pytest.param(name, bug, id=f"{name}+{bug.value}")
+            for name in RECIPES
+            for bug in BugId
+            if bug is not BugId.NONE
+        ],
+    )
+    def test_bug_compatibility_follows_the_registry(self, capsys, name, bug):
+        spec = f"{name}+bug:{bug.value}"
+        if bug in RECIPES[name].bugs:
+            recipe = parse_recipe(spec, "boundz:sum=0")
+            assert (recipe.kind, recipe.bug) == (name, bug)
+            return
+        code, out, err = run_cli(
+            capsys,
+            "run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", spec,
+            "--vars", "3",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert all(accepted.value in err for accepted in RECIPES[name].bugs)
+
+    def test_readme_table_matches_the_registry(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        for name, kind in RECIPES.items():
+            bugs = ", ".join(f"`{b.value}`" for b in kind.bugs)
+            needs = "yes" if kind.needs_total else "no"
+            row = f"| `{name}` | `{kind.propagator.__name__}` | {needs} | {bugs} |"
+            assert row in readme.splitlines()
 
 
 class TestDocuments:

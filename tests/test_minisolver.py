@@ -37,8 +37,8 @@ from propcheck import (
 )
 
 
-def solver_with(values_lists, queue_policy="fifo"):
-    solver = Solver(queue_policy)
+def solver_with(values_lists):
+    solver = Solver()
     scope = [solver.int_var(vs) for vs in values_lists]
     return solver, scope
 
@@ -160,26 +160,22 @@ class TestAllDifferentAC:
         assert pointwise_subset(ac, fc)
 
 
-class TestQueuePolicy:
+class TestPostOrder:
     @pytest.mark.parametrize("seed", range(5))
-    def test_fifo_and_lifo_reach_same_fixpoint(self, seed):
+    def test_both_post_orders_reach_same_fixpoint(self, seed):
         cfg = GenConfig(n_vars=3, value_min=-2, value_max=2, seed=seed + 30)
         inst = generate_instance(SplitMix64(seed + 30), cfg)
         results = []
-        for policy in ("fifo", "lifo"):
-            solver = Solver(policy)
-            scope = [solver.int_var(d.values) for d in inst.domains]
+        for sum_first in (True, False):
+            solver, scope = solver_with([d.values for d in inst.domains])
+            propagators = [SumEqualsBC(0, scope), AllDifferentFC(scope)]
             try:
-                solver.post(SumEqualsBC(0, scope))
-                solver.post(AllDifferentFC(scope))
+                for p in propagators if sum_first else reversed(propagators):
+                    solver.post(p)
                 results.append(domains_of(scope))
             except Inconsistency:
                 results.append(None)
         assert results[0] == results[1]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Solver("random")
 
 
 class TestRecipes:

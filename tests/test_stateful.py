@@ -22,6 +22,7 @@ from propcheck import (
     dives,
     make_reference,
     random_restriction,
+    replay,
     sum_equals,
 )
 
@@ -208,6 +209,23 @@ class TestDives:
         first = dives(root, IncrementalFiltering(arc_alldiff(3)), IdentityStateful(3), cfg)
         second = dives(root, IncrementalFiltering(arc_alldiff(3)), IdentityStateful(3), cfg)
         assert first == second
+
+    def test_replay_returns_the_recorded_failure(self):
+        root = Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
+        cfg = DiveConfig(nb_dives=10, seed=2)
+
+        def subjects():
+            return IncrementalFiltering(arc_alldiff(3)), IdentityStateful(3)
+
+        failure = dives(root, *subjects(), cfg).failure
+        assert failure is not None and failure.transcript
+        assert replay(root, failure.transcript, *subjects()) == failure
+
+    def test_replay_of_agreeing_subjects_is_none(self):
+        root = Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
+        transcript = (PUSH, RestrictDomain(0, "=", 1), POP)
+        subjects = [IncrementalFiltering(arc_alldiff(3)) for _ in range(2)]
+        assert replay(root, transcript, *subjects) is None
 
     def test_dive_config_validation(self):
         with pytest.raises(ValueError):
