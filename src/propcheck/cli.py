@@ -287,12 +287,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_dive(args: argparse.Namespace) -> int:
-    if args.dives < 1:
-        raise UsageError("--dives must be >= 1")
-    if args.max_depth < 1:
-        raise UsageError("--max-depth must be >= 1")
     cfg = _gen_config(args)
-    dive_cfg = DiveConfig(nb_dives=args.dives, max_depth=args.max_depth, seed=args.seed)
+    try:
+        dive_cfg = DiveConfig(nb_dives=args.dives, max_depth=args.max_depth, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     trusted_base = parse_reference_spec(args.trusted, args.vars)
     trusted_factory = lambda: IncrementalFiltering(trusted_base)
     tested_factory = parse_tested_stateful(args.tested, args.trusted, args.vars)

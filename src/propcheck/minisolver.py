@@ -462,7 +462,7 @@ def _solver_for(
     recipe: Recipe, arity: int, inst: Instance
 ) -> tuple[Optional[Solver], list[TrailedVar], bool]:
     """A fresh solver over `inst` with `recipe` posted, its variables, and
-    whether the root failed; there is no solver when a domain is empty."""
+    whether the root failed; there is no solver when the root failed."""
     if inst.arity != arity:
         raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
     if any(d.is_empty() for d in inst.domains):
@@ -472,7 +472,7 @@ def _solver_for(
     try:
         recipe.build(solver, scope)
     except Inconsistency:
-        return solver, scope, True
+        return None, scope, True
     return solver, scope, False
 
 
@@ -514,7 +514,7 @@ class SolverBackedStateful(FilterWithState):
         if not self._setup_done:
             raise ContractViolationError("branch_and_filter before setup")
         if self._solver is None:
-            return INCONSISTENT  # dead since setup on an empty domain
+            return INCONSISTENT  # dead since a failed setup
         solver = self._solver
         if isinstance(op, Push):
             solver.push_state()

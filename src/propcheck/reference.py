@@ -21,7 +21,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import Sequence
+import operator
+from typing import Optional, Sequence
 
 from .checkers import Checker
 from .domains import (
@@ -78,20 +79,42 @@ _LEVEL_FLAGS = {
 }
 
 
+Witnesses = dict[tuple[int, int], Assignment]
+
+
+def _starting_at(vs: Sequence[int], x: int) -> Sequence[int]:
+    """`vs` rotated to start at `x`; as it is when `x` is absent or first."""
+    if x not in vs or vs[0] == x:
+        return vs
+    k = vs.index(x)
+    return [*vs[k:], *vs[:k]]
+
+
 def _filter(
-    checker: Checker, inst: Instance, level: ConsistencyLevel, cap: int
+    checker: Checker,
+    inst: Instance,
+    level: ConsistencyLevel,
+    cap: int,
+    witness: Optional[Witnesses] = None,
 ) -> FilterOutcome:
     """The fixpoint shared by all four levels.
 
     Each value gets an early-exit support search over the current value
     lists: the kept domain values, or their hulls for interval supports.
-    A support found is recorded as the witness of each of its components,
-    and a later check reuses it while every component is still inside the
-    lists. A value without support leaves its list at once. With domain
-    supports one pass suffices: every support found is a solution, and a
-    solution loses none of its values. Interval supports can leave the hull
-    when a bound moves, so the interval levels repeat the pass until it
-    removes nothing.
+    Each list is rotated to start at its value in the last support found
+    in this call (phase saving). A support found is recorded in `witness`
+    as the witness of each of its components, and a later check reuses it
+    while every component is still inside the lists (residual supports,
+    Lecoutre & Hemery 2007). A value without support leaves its list at
+    once. With domain supports one pass suffices: every support found is a
+    solution, and a solution loses none of its values. Interval supports
+    can leave the hull when a bound moves, so the interval levels repeat
+    the pass until it removes nothing.
+
+    `witness` may hold the supports of earlier calls. It is used only when
+    the product of the hulls fits `cap`, so that no search can pass the cap
+    and whether a call raises never depends on earlier calls. Neither the
+    order nor the witnesses change an outcome: each fixpoint is unique.
     """
     _check_arity(checker, inst)
     intervals, bounds_only = _LEVEL_FLAGS[level]
@@ -103,20 +126,26 @@ def _filter(
     # shows in every later search.
     lists: list[Sequence[int]] = [hull(vs) for vs in kept] if intervals else kept
     pred = checker.predicate
-    witness: dict[tuple[int, int], Assignment] = {}
+    if witness is None or math.prod(vs[-1] - vs[0] + 1 for vs in kept) > cap:
+        witness = {}
+    last: Optional[Assignment] = None
 
     def supported(i: int, v: int) -> bool:
+        nonlocal last
         t = witness.get((i, v))
-        if t is not None and all(x in vs for x, vs in zip(t, lists)):
+        if t is not None and all(map(operator.contains, lists, t)):
             return True
         space = [*lists[:i], (v,), *lists[i + 1 :]]
         if math.prod(map(len, space)) > cap:
             raise EnumerationCapExceeded(
                 f"support search for variable {i} needs more than {cap} tuples"
             )
+        if last is not None:
+            space = list(map(_starting_at, space, last))
         t = next(filter(pred, itertools.product(*space)), None)
         if t is None:
             return False
+        last = t
         for k, x in enumerate(t):
             witness[k, x] = t
         return True
@@ -167,9 +196,15 @@ def range_filter(
 
 
 def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT_CAP):
-    """A Filter applying the reference algorithm for `level` to `checker`."""
+    """A Filter applying the reference algorithm for `level` to `checker`.
+
+    The filter keeps its witnesses across calls, at most one per (variable,
+    value), so a support found on one instance answers for a later one
+    wherever it is still valid. Outcomes equal the level function's.
+    """
+    witness: Witnesses = {}
     return Filter(
         arity=checker.arity,
-        apply=lambda inst: _filter(checker, inst, level, cap),
+        apply=lambda inst: _filter(checker, inst, level, cap, witness),
         name=f"{level.value}:{checker.name}",
     )

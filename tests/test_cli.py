@@ -176,12 +176,13 @@ class TestDive:
         "extra", [("--dives", "0"), ("--max-depth", "0")]
     )
     def test_dive_flag_validation(self, capsys, extra):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "dive", "--trusted", "arc:alldiff", "--tested", "alldiff-ac",
             "--vars", "2", *extra,
         )
         assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOracle:

@@ -283,6 +283,25 @@ class TestSolverBackedStateful:
         assert subject.branch_and_filter(RestrictDomain(2, "=", 1)) is INCONSISTENT
         assert subject.branch_and_filter(POP) == first
 
+    def test_failed_setup_leaves_the_subject_dead(self):
+        # Setup fails by propagation, not on an empty input domain; every
+        # later op must still answer inconsistent.
+        subject = as_filter_with_state(sum_equals_bc(100), 2)
+        assert subject.setup(Instance.of([[1, 2], [1, 2]])) is INCONSISTENT
+        for op in (PUSH, POP, PUSH, RestrictDomain(0, "=", 1), POP):
+            assert subject.branch_and_filter(op) is INCONSISTENT, op
+
+    def test_replay_after_failed_setup_agrees(self):
+        from propcheck import IncrementalFiltering, make_reference, replay
+
+        root = Instance.of([[1, 2], [1, 2]])
+        trusted = IncrementalFiltering(
+            make_reference(ConsistencyLevel.BOUND_Z, sum_equals(100, 2))
+        )
+        tested = as_filter_with_state(sum_equals_bc(100), 2)
+        transcript = [PUSH, POP, RestrictDomain(0, "=", 1)]
+        assert replay(root, transcript, trusted, tested) is None
+
     def test_setup_twice_rejected(self):
         subject = as_filter_with_state(sum_equals_bc(1), 1)
         subject.setup(Instance.of([[1]]))

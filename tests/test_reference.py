@@ -342,21 +342,22 @@ def test_support_searches_stay_in_the_search_space(
 
 
 # Predicate calls per (level, checker) on 40 default-config instances, each
-# the count the support search with witnesses makes. A full pass over the
-# product, at any level, makes more calls on every alldiff and sum=0 entry.
+# the count the support search with witnesses makes when every search starts
+# at the last support found. A full pass over the product, at any level,
+# makes more calls on every alldiff and sum=0 entry.
 CALL_BUDGET = {
-    ("arc", "alldiff"): 7_413,
-    ("arc", "sum=0"): 7_437,
-    ("arc", "sum=6"): 27_006,
-    ("boundz", "alldiff"): 13_831,
-    ("boundz", "sum=0"): 11_289,
-    ("boundz", "sum=6"): 83_719,
-    ("boundd", "alldiff"): 4_794,
-    ("boundd", "sum=0"): 4_428,
-    ("boundd", "sum=6"): 19_763,
-    ("range", "alldiff"): 21_233,
-    ("range", "sum=0"): 20_486,
-    ("range", "sum=6"): 118_980,
+    ("arc", "alldiff"): 5_767,
+    ("arc", "sum=0"): 3_749,
+    ("arc", "sum=6"): 13_551,
+    ("boundz", "alldiff"): 10_531,
+    ("boundz", "sum=0"): 5_482,
+    ("boundz", "sum=6"): 48_948,
+    ("boundd", "alldiff"): 3_757,
+    ("boundd", "sum=0"): 2_637,
+    ("boundd", "sum=6"): 12_940,
+    ("range", "alldiff"): 18_197,
+    ("range", "sum=0"): 6_674,
+    ("range", "sum=6"): 49_129,
 }
 
 
@@ -374,3 +375,60 @@ def test_predicate_calls_within_budget(level, name):
     for inst in instances:
         LEVEL_FUNCS[level](counted, inst)
     assert len(calls) <= CALL_BUDGET[level, name]
+
+
+# ---------------------------------------------------------------------------
+# A filter from make_reference keeps its witnesses across calls.
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_reference_filter_answers_as_the_level_function(level):
+    cfg = GenConfig()
+    rng = SplitMix64(7)
+    instances = [generate_instance(rng, cfg) for _ in range(200)]
+    for total in (None, 0, 6, -9):
+        checker = (
+            all_different(cfg.n_vars) if total is None else sum_equals(total, cfg.n_vars)
+        )
+        f = make_reference(ConsistencyLevel(level), checker)
+        for inst in instances:
+            assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (inst, checker.name)
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_refiltering_an_outcome_needs_no_search(level):
+    # Every value left by a call has a witness inside the outcome's lists,
+    # so filtering the outcome again makes no predicate call.
+    rng = SplitMix64(11)
+    instances = [generate_instance(rng, GenConfig()) for _ in range(20)]
+    for checker in (all_different(5), sum_equals(0, 5)):
+        counted, calls = counting(checker)
+        f = make_reference(ConsistencyLevel(level), counted)
+        for inst in instances:
+            out = f.apply(inst)
+            if out is not INCONSISTENT:
+                del calls[:]
+                assert f.apply(out.instance) == out
+                assert calls == [], (inst, checker.name)
+
+
+def outcome_or_cap(f, inst):
+    try:
+        return f.apply(inst)
+    except EnumerationCapExceeded:
+        return EnumerationCapExceeded
+
+
+def test_warm_witnesses_do_not_change_the_cap():
+    # The hull product of `big` passes the cap, and so does each interval
+    # support search, while each domain support search fits. The warm-up
+    # instances leave a valid witness for both bounds of every variable,
+    # which must not spare `big` a search that passes the cap.
+    checker = sum_equals(0, 2)
+    big = Instance.of([[-3, 3], [-3, 3]])
+    for level in ConsistencyLevel:
+        warm = make_reference(level, checker, cap=5)
+        for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
+            assert warm.apply(inst) == Filtered(inst)
+        fresh = make_reference(level, checker, cap=5)
+        assert outcome_or_cap(warm, big) == outcome_or_cap(fresh, big), level
