@@ -2,6 +2,12 @@
 
 Everything here is immutable and safe to share. Inconsistency is a value
 (`INCONSISTENT`), not an exception, so that outcome comparison is total.
+
+`Domain(values)` sorts, deduplicates and range-checks its input; every
+value that comes from outside the program (the generator, CLI JSON, tests,
+user code) goes through it. `Domain._from_sorted` skips those checks and is
+used only for a tuple derived from an existing `Domain` or solver variable,
+which is already sorted, distinct and in range.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ class Domain:
         if vs and (vs[0] < INT32_MIN or vs[-1] > INT32_MAX):
             raise ValueError(f"domain value outside signed 32-bit range: {vs[0]}..{vs[-1]}")
         self._values = vs
+
+    @classmethod
+    def _from_sorted(cls, values: tuple[int, ...]) -> "Domain":
+        """A domain over `values`, which must be sorted, distinct and in range."""
+        d = object.__new__(cls)
+        d._values = values
+        return d
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -73,7 +86,7 @@ class Domain:
         """A new domain without `v` (unchanged if absent)."""
         if v not in self._values:
             return self
-        return Domain(x for x in self._values if x != v)
+        return Domain._from_sorted(tuple(x for x in self._values if x != v))
 
 
 class Instance:

@@ -10,9 +10,10 @@ exactly; propagators run on a FIFO queue until fixpoint.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .domains import (
     INCONSISTENT,
@@ -50,23 +51,30 @@ class Trail:
         while len(self._entries) > mark:
             var, value = self._entries.pop()
             var._values.add(value)
+            var._sorted = None
 
 
 class TrailedVar:
-    """An integer variable whose removals are undone exactly on backtrack."""
+    """An integer variable whose removals are undone exactly on backtrack.
 
-    __slots__ = ("vid", "_values", "_solver", "watchers")
+    The sorted values are cached; a removal and a trail pop reset the cache.
+    """
+
+    __slots__ = ("vid", "_values", "_sorted", "_solver", "watchers")
 
     def __init__(self, solver: "Solver", vid: int, values: Iterable[int]) -> None:
         self.vid = vid
         self._values = set(values)
+        self._sorted: Optional[tuple[int, ...]] = None
         self._solver = solver
         self.watchers: list["Propagator"] = []
         if not self._values:
             raise ValueError("a solver variable needs a non-empty domain")
 
     def values(self) -> tuple[int, ...]:
-        return tuple(sorted(self._values))
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._values))
+        return self._sorted
 
     def is_fixed(self) -> bool:
         return len(self._values) == 1
@@ -77,40 +85,48 @@ class TrailedVar:
         return next(iter(self._values))
 
     def min(self) -> int:
-        return min(self._values)
+        return self.values()[0]
 
     def max(self) -> int:
-        return max(self._values)
+        return self.values()[-1]
 
     def __contains__(self, v: int) -> bool:
         return v in self._values
 
-    def _removed(self, vs: list[int]) -> bool:
+    def _removed(self, vs: Sequence[int]) -> bool:
+        if not vs:
+            return False
         trail = self._solver.trail
         for v in vs:
             trail.record(self, v)
             self._values.discard(v)
+        self._sorted = None
         if not self._values:
             raise Inconsistency(f"domain of x{self.vid} emptied")
-        if vs:
-            self._solver.on_change(self)
-        return bool(vs)
+        self._solver.on_change(self)
+        return True
 
     def remove_value(self, v: int) -> bool:
         if v not in self._values:
             return False
-        return self._removed([v])
+        return self._removed((v,))
 
     def remove_below(self, bound: int) -> bool:
-        return self._removed([v for v in self._values if v < bound])
+        vs = self.values()
+        if bound <= vs[0]:
+            return False
+        return self._removed(vs[: bisect_left(vs, bound)])
 
     def remove_above(self, bound: int) -> bool:
-        return self._removed([v for v in self._values if v > bound])
+        vs = self.values()
+        if bound >= vs[-1]:
+            return False
+        return self._removed(vs[bisect_right(vs, bound) :])
 
     def assign(self, v: int) -> bool:
         if v not in self._values:
             raise Inconsistency(f"x{self.vid} cannot take value {v}")
-        return self._removed([w for w in self._values if w != v])
+        return self._removed([w for w in self.values() if w != v])
 
 
 class Propagator:
@@ -264,36 +280,37 @@ class AllDifferentFC(Propagator):
                         changed = True
 
 
-def _tarjan_scc(nodes: list, succ: dict) -> dict:
-    """Iterative Tarjan; returns node -> component id."""
-    index: dict = {}
-    lowlink: dict = {}
-    comp: dict = {}
-    on_stack: set = set()
-    stack: list = []
+def _tarjan_scc(succ: list[list[int]]) -> list[int]:
+    """Iterative Tarjan over nodes 0..len(succ)-1; returns each node's component id."""
+    n = len(succ)
+    index = [-1] * n
+    lowlink = [0] * n
+    comp = [-1] * n
+    on_stack = [False] * n
+    stack: list[int] = []
     counter = 0
     comp_id = 0
-    for root in nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(succ.get(root, ())))]
+        work = [(root, iter(succ[root]))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, it = work[-1]
             advanced = False
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ.get(nxt, ()))))
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(succ[nxt])))
                     advanced = True
                     break
-                if nxt in on_stack:
+                if on_stack[nxt]:
                     lowlink[node] = min(lowlink[node], index[nxt])
             if advanced:
                 continue
@@ -304,7 +321,7 @@ def _tarjan_scc(nodes: list, succ: dict) -> dict:
             if lowlink[node] == index[node]:
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp[w] = comp_id
                     if w == node:
                         break
@@ -365,36 +382,37 @@ class AllDifferentAC(Propagator):
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
             self._stale_prune()
         match = self._repair_matching()
+        doms = [var.values() for var in self.scope]
 
-        # Residual digraph: matched edges var -> value, others value -> var.
-        var_node = [("v", i) for i in range(len(self.scope))]
-        values = sorted({v for var in self.scope for v in var.values()})
-        succ: dict = {("x", v): [] for v in values}
-        for i, var in enumerate(self.scope):
-            succ[("v", i)] = [("x", match[i])]
-            for v in var.values():
+        # Residual digraph over variable nodes 0..n-1 and value nodes n..:
+        # matched edges var -> value, the others value -> var.
+        n = len(doms)
+        node = {v: n + k for k, v in enumerate(sorted({v for vs in doms for v in vs}))}
+        succ: list[list[int]] = [[node[match[i]]] for i in range(n)]
+        succ += [[] for _ in node]
+        for i, vs in enumerate(doms):
+            for v in vs:
                 if v != match[i]:
-                    succ[("x", v)].append(("v", i))
+                    succ[node[v]].append(i)
 
-        comp = _tarjan_scc(var_node + [("x", v) for v in values], succ)
+        comp = _tarjan_scc(succ)
 
-        matched_values = set(match.values())
-        reach: set = set()
-        frontier = [("x", v) for v in values if v not in matched_values]
-        reach.update(frontier)
+        # Every node reachable from a free value lies on an even alternating path.
+        reach = [False] * len(succ)
+        frontier = [node[v] for v in node.keys() - match.values()]
+        for x in frontier:
+            reach[x] = True
         while frontier:
-            node = frontier.pop()
-            for nxt in succ[node]:
-                if nxt not in reach:
-                    reach.add(nxt)
+            for nxt in succ[frontier.pop()]:
+                if not reach[nxt]:
+                    reach[nxt] = True
                     frontier.append(nxt)
 
-        for i, var in enumerate(self.scope):
-            for v in var.values():
-                if v == match[i]:
-                    continue
-                if comp[("x", v)] != comp[("v", i)] and ("x", v) not in reach:
-                    var.remove_value(v)
+        for i, vs in enumerate(doms):
+            for v in vs:
+                x = node[v]
+                if v != match[i] and comp[x] != comp[i] and not reach[x]:
+                    self.scope[i].remove_value(v)
 
 
 class RecipeKind(NamedTuple):
@@ -477,7 +495,9 @@ def _solver_for(
 
 
 def _outcome(scope: list[TrailedVar], failed: bool) -> FilterOutcome:
-    return INCONSISTENT if failed else Filtered(Instance(Domain(v.values()) for v in scope))
+    if failed:
+        return INCONSISTENT
+    return Filtered(Instance(Domain._from_sorted(v.values()) for v in scope))
 
 
 def as_filter(recipe: Recipe, arity: int) -> Filter:
@@ -530,6 +550,8 @@ class SolverBackedStateful(FilterWithState):
                 self._failed = True
         else:
             if not self._failed:
+                if not 0 <= op.index < len(self._scope):
+                    raise ContractViolationError(f"restriction index {op.index} out of range")
                 var = self._scope[op.index]
                 try:
                     if op.relation == "=":

@@ -78,7 +78,7 @@ def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
     if not kept:
         return INCONSISTENT
     doms = list(inst.domains)
-    doms[r.index] = Domain(kept)
+    doms[r.index] = Domain._from_sorted(tuple(kept))
     return Filtered(Instance(doms))
 
 

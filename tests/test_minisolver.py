@@ -13,9 +13,11 @@ from propcheck import (
     BugId,
     ConsistencyLevel,
     ContractViolationError,
+    DiveConfig,
     Filtered,
     GenConfig,
     Inconsistency,
+    IncrementalFiltering,
     Instance,
     RestrictDomain,
     Solver,
@@ -28,7 +30,9 @@ from propcheck import (
     as_filter,
     as_filter_with_state,
     bound_z_filter,
+    dives,
     generate_instance,
+    make_reference,
     pointwise_equal,
     pointwise_subset,
     sum_equals,
@@ -45,6 +49,13 @@ def solver_with(values_lists):
 
 def domains_of(scope):
     return [list(v.values()) for v in scope]
+
+
+def assert_reads(var, expected):
+    """Every read of `var` agrees with the value list `expected`."""
+    assert var.values() == tuple(expected)
+    assert (var.min(), var.max()) == (expected[0], expected[-1])
+    assert var.is_fixed() == (len(expected) == 1)
 
 
 class TestTrail:
@@ -82,6 +93,46 @@ class TestTrail:
         _, (x,) = solver_with([[1, 2]])
         with pytest.raises(Inconsistency):
             x.assign(5)
+
+    def test_reads_follow_nested_frames(self):
+        # Each read fills the cached sorted values; every later removal and
+        # pop must show in the next read.
+        solver, (x,) = solver_with([[5, 1, 4, 2, 3]])
+        assert_reads(x, [1, 2, 3, 4, 5])
+        solver.push_state()
+        assert x.remove_below(2)
+        assert not x.remove_below(2) and not x.remove_above(5)
+        assert_reads(x, [2, 3, 4, 5])
+        solver.push_state()
+        assert x.remove_above(4)
+        assert_reads(x, [2, 3, 4])
+        solver.push_state()
+        assert x.assign(3)
+        assert_reads(x, [3])
+        solver.pop_state()
+        assert_reads(x, [2, 3, 4])
+        solver.pop_state()
+        assert_reads(x, [2, 3, 4, 5])
+        solver.pop_state()
+        assert_reads(x, [1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("empty", ["remove_below", "remove_above", "assign"])
+    def test_reads_after_an_emptying_removal_and_pop(self, empty):
+        solver, (x, y) = solver_with([[1, 2, 3], [7, 8]])
+        solver.push_state()
+        y.remove_value(8)
+        assert_reads(x, [1, 2, 3])
+        solver.push_state()
+        x.remove_value(2)
+        assert_reads(x, [1, 3])
+        bound = {"remove_below": 4, "remove_above": 0, "assign": 2}[empty]
+        with pytest.raises(Inconsistency):
+            getattr(x, empty)(bound)
+        solver.pop_state()
+        assert_reads(x, [1, 2, 3])
+        assert_reads(y, [7])
+        solver.pop_state()
+        assert_reads(y, [7, 8])
 
 
 class TestSumEqualsBC:
@@ -302,8 +353,44 @@ class TestSolverBackedStateful:
         transcript = [PUSH, POP, RestrictDomain(0, "=", 1)]
         assert replay(root, transcript, trusted, tested) is None
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_out_of_range_restriction_is_a_contract_violation(self, index):
+        # The same error as the snapshot adapter, so a dive does not record
+        # it as the tested side claiming inconsistency.
+        root = Instance.of([[1, 2, 3]] * 3)
+        op = RestrictDomain(index, "=", 1)
+        for subject in (
+            as_filter_with_state(all_different_ac(), 3),
+            IncrementalFiltering(make_reference(ConsistencyLevel.ARC, all_different(3))),
+        ):
+            subject.setup(root)
+            with pytest.raises(ContractViolationError, match=f"index {index} out of range"):
+                subject.branch_and_filter(op)
+
     def test_setup_twice_rejected(self):
         subject = as_filter_with_state(sum_equals_bc(1), 1)
         subject.setup(Instance.of([[1]]))
         with pytest.raises(ContractViolationError):
             subject.setup(Instance.of([[1]]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize(
+    "recipe, level, checker",
+    [
+        (all_different_ac(), ConsistencyLevel.ARC, all_different(5)),
+        (sum_equals_bc(0), ConsistencyLevel.BOUND_Z, sum_equals(0, 5)),
+    ],
+    ids=["alldiff-ac", "sum-bc:0"],
+)
+def test_solver_subjects_agree_with_references_through_dives(recipe, level, checker, seed):
+    # Dives pop back to earlier states, so the solver's matching, trail and
+    # cached values must come back exactly at every depth.
+    root = generate_instance(SplitMix64(seed), GenConfig(seed=seed))
+    report = dives(
+        root,
+        IncrementalFiltering(make_reference(level, checker)),
+        as_filter_with_state(recipe, 5),
+        DiveConfig(seed=seed),
+    )
+    assert report.passed, report.failure
