@@ -356,20 +356,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
         ops = [branch_op_from_doc(op) for op in _field(ce, "transcript", list)]
         tested = parse_tested_stateful(tested_spec, trusted_spec, arity)()
         failure = replay(shrunk, ops, IncrementalFiltering(trusted), tested)
-        if failure is None:
-            found = None
-        elif len(failure.transcript) < len(ops):
+        if failure is not None and len(failure.transcript) < len(ops):
             return _not_reproduced(
                 f"the outcomes already differ after {len(failure.transcript)} "
                 f"of the {len(ops)} transcript ops"
             )
-        else:
-            found = (failure.reason, failure.trusted_outcome, failure.tested_outcome)
     else:
         tested = parse_tested_filter(tested_spec, trusted_spec, arity)
-        found = disagreement(trusted, tested, shrunk, ComparisonMode(mode))
-    if found is None:
+        failure = disagreement(trusted, tested, shrunk, ComparisonMode(mode))
+    if failure is None:
         return _not_reproduced("the filters agree on the shrunk instance")
+    found = (failure.reason, failure.trusted_outcome, failure.tested_outcome)
     for what, got, want in zip(("reason", "trusted outcome", "tested outcome"), found, recorded):
         if got != want:
             return _not_reproduced(f"the {what} is {got!r}, not the recorded {want!r}")

@@ -1,22 +1,23 @@
 """Differential campaigns between a trusted and a tested filter.
 
-A campaign generates seeded random instances, applies both filters, and
-fails on the first disagreement; the failing instance is shrunk to a
-1-minimal counterexample before reporting. Campaign outcomes are pure
+A campaign generates seeded random instances, tests a property on each,
+and fails on the first failure; the failing instance is shrunk to a
+1-minimal counterexample before reporting. A static campaign's property
+applies both filters once; a dive campaign (`stateful.dive_campaign`) runs
+the same loop with dives as its property. Campaign outcomes are pure
 functions of (trusted, tested, config).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .domains import (
     INCONSISTENT,
     ContractViolationError,
     Filter,
-    Filtered,
     FilterOutcome,
     Instance,
     pointwise_equal,
@@ -29,7 +30,7 @@ from .generator import (
     generate_instance,
     shrink,
 )
-from .reference import DEFAULT_CAP, EnumerationCapExceeded
+from .reference import EnumerationCapExceeded
 
 MAX_REDRAWS = 1000
 
@@ -74,53 +75,97 @@ def _contracting(inp: Instance, out: FilterOutcome) -> bool:
 
 def disagreement(
     trusted: Filter, tested: Filter, inst: Instance, mode: ComparisonMode
-) -> Optional[tuple[str, FilterOutcome, FilterOutcome]]:
-    """None when the pair agrees on `inst`, else (reason, trusted, tested)."""
+) -> Optional[Failure]:
+    """None when the pair agrees on `inst`, else the failure found on it."""
     trusted_out = trusted.apply(inst)
     tested_out = tested.apply(inst)
     if not _contracting(inst, trusted_out):
-        return ("trusted filter returned a non-contracting result", trusted_out, tested_out)
-    if not _contracting(inst, tested_out):
-        return ("tested filter returned a non-contracting result", trusted_out, tested_out)
-    if mode is ComparisonMode.EQUALITY:
-        if not pointwise_equal(trusted_out, tested_out):
-            if (tested_out is INCONSISTENT) != (trusted_out is INCONSISTENT):
-                side = "tested" if tested_out is INCONSISTENT else "trusted"
-                reason = f"outcomes differ: only the {side} filter claimed inconsistency"
-            else:
-                reason = "outcomes differ under equality comparison"
-            return (reason, trusted_out, tested_out)
+        reason = "trusted filter returned a non-contracting result"
+    elif not _contracting(inst, tested_out):
+        reason = "tested filter returned a non-contracting result"
+    elif mode is ComparisonMode.EQUALITY:
+        if pointwise_equal(trusted_out, tested_out):
+            return None
+        if (tested_out is INCONSISTENT) != (trusted_out is INCONSISTENT):
+            side = "tested" if tested_out is INCONSISTENT else "trusted"
+            reason = f"outcomes differ: only the {side} filter claimed inconsistency"
+        else:
+            reason = "outcomes differ under equality comparison"
+    elif pointwise_subset(tested_out, trusted_out):
+        return None
     else:
-        if not pointwise_subset(tested_out, trusted_out):
-            reason = "tested outcome is not pointwise included in the trusted outcome"
-            return (reason, trusted_out, tested_out)
-    return None
+        reason = "tested outcome is not pointwise included in the trusted outcome"
+    return Failure(
+        original=inst,
+        shrunk=inst,
+        trusted_outcome=trusted_out,
+        tested_outcome=tested_out,
+        mode=mode,
+        reason=reason,
+    )
 
 
-def draw_instance(
-    rng: SplitMix64, cfg: GenConfig, cap: int
-) -> tuple[Instance, int]:
-    """Generate an instance small enough to enumerate; re-draw oversized ones."""
-    redraws = 0
-    while True:
-        inst = generate_instance(rng, cfg)
-        if inst.search_space_size() <= cap:
-            return inst, redraws
-        redraws += 1
-        if redraws > MAX_REDRAWS:
-            raise EnumerationCapExceeded(
-                f"could not draw an instance within the cap {cap} "
-                f"after {MAX_REDRAWS} re-draws"
+# The number of tests a property ran on an instance, and the failure it found.
+Property = Callable[[Instance], tuple[int, Optional[Failure]]]
+
+
+def run_campaign(
+    cfg: GenConfig, n_draws: int, property_after: Callable[[SplitMix64], Property]
+) -> TestReport:
+    """Test `n_draws` instances drawn from cfg.seed; shrink the first failing one.
+
+    `property_after(rng)` gives the property for the instance just drawn and
+    may draw from `rng` itself. A draw on which a reference exceeds its cap is
+    skipped and counted in `redraws`; MAX_REDRAWS skips in a row end the
+    campaign. The shrunk instance is tested once more for the report.
+    """
+    rng = SplitMix64(cfg.seed)
+    tests_run = redraws = 0
+    for _ in range(n_draws):
+        skipped = 0
+        while True:
+            inst = generate_instance(rng, cfg)
+            prop = property_after(rng)
+            try:
+                run, failure = prop(inst)
+                break
+            except EnumerationCapExceeded as exc:
+                skipped += 1
+                if skipped == MAX_REDRAWS:
+                    raise EnumerationCapExceeded(
+                        f"a reference exceeded its cap on {MAX_REDRAWS} draws in a row: {exc}"
+                    ) from exc
+        redraws += skipped
+        if failure is None:
+            tests_run += run
+            continue
+
+        def still_fails(candidate: Instance) -> bool:
+            try:
+                return prop(candidate)[1] is not None
+            except EnumerationCapExceeded:
+                return False  # undecided, so not kept
+
+        result = shrink(inst, still_fails, budget=DEFAULT_SHRINK_BUDGET)
+        run, final = prop(result.instance)
+        if final is None:
+            raise ContractViolationError(
+                "the shrunk instance no longer fails: a subject is not deterministic"
             )
+        return TestReport(
+            passed=False,
+            tests_run=tests_run + run,
+            seed=cfg.seed,
+            redraws=redraws,
+            failure=replace(
+                final, original=inst, shrunk=result.instance, shrunk_minimal=result.minimal
+            ),
+        )
+    return TestReport(passed=True, tests_run=tests_run, seed=cfg.seed, redraws=redraws)
 
 
-def _run_campaign(
-    trusted: Filter,
-    tested: Filter,
-    cfg: GenConfig,
-    mode: ComparisonMode,
-    cap: int,
-    shrink_budget: int,
+def _static_campaign(
+    trusted: Filter, tested: Filter, cfg: GenConfig, mode: ComparisonMode
 ) -> TestReport:
     if trusted.arity != tested.arity:
         raise ContractViolationError(
@@ -130,67 +175,26 @@ def _run_campaign(
         raise ContractViolationError(
             f"filter arity {trusted.arity} != configured n_vars {cfg.n_vars}"
         )
-    rng = SplitMix64(cfg.seed)
-    redraws = 0
-    for test_index in range(cfg.n_tests):
-        inst, drawn = draw_instance(rng, cfg, cap)
-        redraws += drawn
-        found = disagreement(trusted, tested, inst, mode)
-        if found is None:
-            continue
 
-        def still_fails(candidate: Instance) -> bool:
-            return disagreement(trusted, tested, candidate, mode) is not None
+    def compare(inst: Instance) -> tuple[int, Optional[Failure]]:
+        return 1, disagreement(trusted, tested, inst, mode)
 
-        result = shrink(inst, still_fails, budget=shrink_budget)
-        reason, trusted_out, tested_out = disagreement(
-            trusted, tested, result.instance, mode
-        )
-        return TestReport(
-            passed=False,
-            tests_run=test_index + 1,
-            seed=cfg.seed,
-            redraws=redraws,
-            failure=Failure(
-                original=inst,
-                shrunk=result.instance,
-                trusted_outcome=trusted_out,
-                tested_outcome=tested_out,
-                mode=mode,
-                reason=reason,
-                shrunk_minimal=result.minimal,
-            ),
-        )
-    return TestReport(passed=True, tests_run=cfg.n_tests, seed=cfg.seed, redraws=redraws)
+    return run_campaign(cfg, cfg.n_tests, lambda rng: compare)
 
 
-def check(
-    trusted: Filter,
-    tested: Filter,
-    cfg: GenConfig = GenConfig(),
-    cap: int = DEFAULT_CAP,
-    shrink_budget: int = DEFAULT_SHRINK_BUDGET,
-) -> TestReport:
+def check(trusted: Filter, tested: Filter, cfg: GenConfig = GenConfig()) -> TestReport:
     """Fail on the first instance where the two outcomes are not identical."""
-    return _run_campaign(trusted, tested, cfg, ComparisonMode.EQUALITY, cap, shrink_budget)
+    return _static_campaign(trusted, tested, cfg, ComparisonMode.EQUALITY)
 
 
-def stronger(
-    trusted: Filter,
-    tested: Filter,
-    cfg: GenConfig = GenConfig(),
-    cap: int = DEFAULT_CAP,
-    shrink_budget: int = DEFAULT_SHRINK_BUDGET,
-) -> TestReport:
+def stronger(trusted: Filter, tested: Filter, cfg: GenConfig = GenConfig()) -> TestReport:
     """Fail where the tested outcome is not pointwise included in the trusted one.
 
     Inclusion alone does not prove soundness: an over-filtering subject that
     removes solutions still passes against a weak trusted filter. Combine
     with `check` against an exact reference for full validation.
     """
-    return _run_campaign(
-        trusted, tested, cfg, ComparisonMode.TESTED_SUBSET_OF_TRUSTED, cap, shrink_budget
-    )
+    return _static_campaign(trusted, tested, cfg, ComparisonMode.TESTED_SUBSET_OF_TRUSTED)
 
 
 class FilterAssertionError(AssertionError):

@@ -44,6 +44,9 @@ class Trail:
     def push(self) -> None:
         self._marks.append(len(self._entries))
 
+    def depth(self) -> int:
+        return len(self._marks)
+
     def pop(self) -> None:
         if not self._marks:
             raise ContractViolationError("pop_state with no open frame")
@@ -520,15 +523,15 @@ class SolverBackedStateful(FilterWithState):
         self._arity = arity
         self._solver: Optional[Solver] = None
         self._scope: list[TrailedVar] = []
-        self._failed = False
+        self._failed_at: Optional[int] = None  # open frames when it failed
         self._setup_done = False
 
     def setup(self, root: Instance) -> FilterOutcome:
         if self._setup_done:
             raise ContractViolationError("setup called twice")
         self._setup_done = True
-        self._solver, self._scope, self._failed = _solver_for(self._recipe, self._arity, root)
-        return _outcome(self._scope, self._failed)
+        self._solver, self._scope, failed = _solver_for(self._recipe, self._arity, root)
+        return _outcome(self._scope, failed)
 
     def branch_and_filter(self, op: BranchOp) -> FilterOutcome:
         if not self._setup_done:
@@ -540,32 +543,33 @@ class SolverBackedStateful(FilterWithState):
             solver.push_state()
         elif isinstance(op, Pop):
             solver.pop_state()
-            self._failed = False
-            # Re-reaching the fixpoint is a no-op for well-behaved
-            # propagators; stale internal state surfaces here.
-            try:
-                solver.schedule_all()
-                solver.fixpoint()
-            except Inconsistency:
-                self._failed = True
-        else:
-            if not self._failed:
-                if not 0 <= op.index < len(self._scope):
-                    raise ContractViolationError(f"restriction index {op.index} out of range")
-                var = self._scope[op.index]
+            if self._failed_at is not None and solver.trail.depth() < self._failed_at:
+                self._failed_at = None
+            if self._failed_at is None:
+                # Re-reaching the fixpoint is a no-op for well-behaved
+                # propagators; stale internal state surfaces here.
                 try:
-                    if op.relation == "=":
-                        var.assign(op.constant)
-                    elif op.relation == "!=":
-                        var.remove_value(op.constant)
-                    elif op.relation == "<":
-                        var.remove_above(op.constant - 1)
-                    else:
-                        var.remove_below(op.constant + 1)
+                    solver.schedule_all()
                     solver.fixpoint()
                 except Inconsistency:
-                    self._failed = True
-        return _outcome(self._scope, self._failed)
+                    self._failed_at = solver.trail.depth()
+        elif self._failed_at is None:
+            if not 0 <= op.index < len(self._scope):
+                raise ContractViolationError(f"restriction index {op.index} out of range")
+            var = self._scope[op.index]
+            try:
+                if op.relation == "=":
+                    var.assign(op.constant)
+                elif op.relation == "!=":
+                    var.remove_value(op.constant)
+                elif op.relation == "<":
+                    var.remove_above(op.constant - 1)
+                else:
+                    var.remove_below(op.constant + 1)
+                solver.fixpoint()
+            except Inconsistency:
+                self._failed_at = solver.trail.depth()
+        return _outcome(self._scope, self._failed_at is not None)
 
 
 def as_filter_with_state(recipe: Recipe, arity: int) -> SolverBackedStateful:

@@ -26,9 +26,10 @@ from .domains import (
     is_leaf,
     pointwise_equal,
 )
-from .comparator import ComparisonMode, Failure, TestReport, draw_instance
-from .generator import DEFAULT_SHRINK_BUDGET, GenConfig, SplitMix64, shrink
-from .reference import DEFAULT_CAP
+from .comparator import ComparisonMode, Failure, Property, TestReport, run_campaign
+from .generator import GenConfig, SplitMix64
+from .generator import shrink  # noqa: F401  (bench/tracing.py patches it by name)
+from .reference import EnumerationCapExceeded
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,11 @@ class DiveConfig:
 
 
 def _tested_outcome(call: Callable[[], FilterOutcome]) -> FilterOutcome:
-    """A raising subject is recorded as claiming inconsistency."""
+    """A raising subject is recorded as claiming inconsistency; a broken
+    contract or an exceeded cap is not the subject's answer and propagates."""
     try:
         return call()
-    except ContractViolationError:
+    except (ContractViolationError, EnumerationCapExceeded):
         raise
     except Exception:
         return INCONSISTENT
@@ -267,48 +269,22 @@ def dive_campaign(
     tested_factory: Callable[[], FilterWithState],
     gen_cfg: GenConfig,
     dive_cfg: DiveConfig,
-    cap: int = DEFAULT_CAP,
-    shrink_budget: int = DEFAULT_SHRINK_BUDGET,
 ) -> TestReport:
-    """Generate a root instance, run the dives, shrink the root on failure.
+    """Draw a root instance, run the dives on it, shrink the root on failure.
 
-    The dive phase is seeded independently of the root draw, so the same
+    The dives run under a seed drawn right after the root, so the same
     operation sequence decisions replay while the root is being shrunk.
     """
-    rng = SplitMix64(gen_cfg.seed)
-    root, redraws = draw_instance(rng, gen_cfg, cap)
-    dive_seed = rng.next_u64()
 
-    def run(inst: Instance) -> TestReport:
-        return dives(
-            inst, trusted_factory(), tested_factory(), dive_cfg, SplitMix64(dive_seed)
-        )
+    def dives_after(rng: SplitMix64) -> Property:
+        dive_seed = rng.next_u64()
 
-    report = run(root)
-    if report.passed:
-        return TestReport(
-            passed=True, tests_run=report.tests_run, seed=gen_cfg.seed, redraws=redraws
-        )
+        def run(root: Instance) -> tuple[int, Optional[Failure]]:
+            report = dives(
+                root, trusted_factory(), tested_factory(), dive_cfg, SplitMix64(dive_seed)
+            )
+            return report.tests_run, report.failure
 
-    result = shrink(root, lambda inst: not run(inst).passed, budget=shrink_budget)
-    final = run(result.instance)
-    if final.failure is None:
-        raise ContractViolationError(
-            "the shrunk root no longer fails: a subject is not deterministic"
-        )
-    return TestReport(
-        passed=False,
-        tests_run=final.tests_run,
-        seed=gen_cfg.seed,
-        redraws=redraws,
-        failure=Failure(
-            original=root,
-            shrunk=result.instance,
-            trusted_outcome=final.failure.trusted_outcome,
-            tested_outcome=final.failure.tested_outcome,
-            mode=ComparisonMode.EQUALITY,
-            reason=final.failure.reason,
-            shrunk_minimal=result.minimal,
-            transcript=final.failure.transcript,
-        ),
-    )
+        return run
+
+    return run_campaign(gen_cfg, 1, dives_after)

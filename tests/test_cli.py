@@ -137,6 +137,20 @@ class TestRun:
         assert code == EXIT_USAGE
         assert out == ""  # nothing but JSON ever goes to stdout
 
+    def test_instance_past_the_cap_is_tested_when_each_search_fits(self, capsys):
+        # The domain product is about 21**5 = 4.1 M, past the default cap of
+        # 1,000,000, but each support search spans at most 21**4 tuples.
+        code, doc, _ = run_json(
+            capsys,
+            "run", "--mode", "check",
+            "--trusted", "boundz:alldiff", "--tested", "boundz:alldiff",
+            "--vars", "5", "--min", "-10", "--max", "10",
+            "--density", "0.99", "--tests", "3",
+        )
+        assert code == EXIT_PASS
+        assert doc["testsRun"] == 3
+        assert doc["redraws"] == 0
+
     def test_cap_exceeded_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -9,15 +9,19 @@ from propcheck import (
     ConsistencyLevel,
     ContractViolationError,
     Domain,
+    EnumerationCapExceeded,
     Failure,
     Filter,
     FilterAssertionError,
     Filtered,
     GenConfig,
     Instance,
+    SplitMix64,
     all_different,
+    arc_filter,
     assert_that,
     check,
+    generate_instance,
     make_reference,
     pointwise_subset,
     stronger,
@@ -84,6 +88,39 @@ class TestCheck:
         assert not report.passed
         assert "tested" in report.failure.reason
         assert "inconsistency" in report.failure.reason
+
+    def test_failure_that_does_not_repeat_is_a_contract_violation(self):
+        calls = []
+
+        def fails_once(inst):
+            calls.append(inst)
+            return INCONSISTENT if len(calls) == 1 else Filtered(inst)
+
+        with pytest.raises(ContractViolationError, match="no longer fails"):
+            check(identity_filter(3), Filter(3, fails_once, name="fails-once"), CFG3)
+
+    def test_draws_a_reference_cannot_decide_are_skipped_and_counted(self):
+        capped = make_reference(ConsistencyLevel.ARC, all_different(3), cap=9)
+        report = check(capped, capped, CFG3)
+        rng = SplitMix64(CFG3.seed)
+        skipped = decided = 0
+        while decided < CFG3.n_tests:
+            try:
+                arc_filter(all_different(3), generate_instance(rng, CFG3), cap=9)
+                decided += 1
+            except EnumerationCapExceeded:
+                skipped += 1
+        assert report.passed and report.tests_run == CFG3.n_tests
+        assert report.redraws == skipped > 0
+
+    def test_shrink_candidate_past_the_cap_is_not_kept(self):
+        # At this seed the failing instance fits cap 3, but a removal the
+        # shrinker tries makes a support search pass it.
+        capped = make_reference(ConsistencyLevel.ARC, all_different(3), cap=3)
+        cfg = GenConfig(n_vars=3, value_min=-3, value_max=3, n_tests=50, seed=32)
+        report = check(capped, identity_filter(3), cfg)
+        assert not report.passed
+        assert capped.apply(report.failure.shrunk) == report.failure.trusted_outcome
 
     def test_determinism_same_seed_same_report(self):
         trusted = make_reference(ConsistencyLevel.ARC, all_different(3))

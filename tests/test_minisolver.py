@@ -35,6 +35,7 @@ from propcheck import (
     make_reference,
     pointwise_equal,
     pointwise_subset,
+    replay,
     sum_equals,
     sum_equals_bc,
     with_bug,
@@ -341,6 +342,21 @@ class TestSolverBackedStateful:
         assert subject.setup(Instance.of([[1, 2], [1, 2]])) is INCONSISTENT
         for op in (PUSH, POP, PUSH, RestrictDomain(0, "=", 1), POP):
             assert subject.branch_and_filter(op) is INCONSISTENT, op
+
+    def test_pop_inside_the_failed_frame_stays_inconsistent(self):
+        # The failure happens one frame down; a pop that does not leave that
+        # frame keeps it, and the pop that leaves it restores the root.
+        root = Instance.of([[1, 2], [1, 2]])
+        subject = as_filter_with_state(sum_equals_bc(3), 2)
+        root_outcome = subject.setup(root)
+        ops = [PUSH, RestrictDomain(0, ">", 5), PUSH, POP]
+        assert [subject.branch_and_filter(op) for op in ops][1:] == [INCONSISTENT] * 3
+        assert subject.branch_and_filter(POP) == root_outcome
+        trusted = IncrementalFiltering(
+            make_reference(ConsistencyLevel.BOUND_Z, sum_equals(3, 2))
+        )
+        tested = as_filter_with_state(sum_equals_bc(3), 2)
+        assert replay(root, ops + [POP], trusted, tested) is None
 
     def test_replay_after_failed_setup_agrees(self):
         from propcheck import IncrementalFiltering, make_reference, replay

@@ -9,6 +9,7 @@ from propcheck import (
     ConsistencyLevel,
     ContractViolationError,
     DiveConfig,
+    EnumerationCapExceeded,
     Filter,
     Filtered,
     GenConfig,
@@ -258,6 +259,29 @@ class TestDiveCampaign:
         # Campaigns with the same configuration reproduce the same failure.
         again = dive_campaign(trusted, lambda: IdentityStateful(3), gen_cfg, dive_cfg)
         assert again == report
+
+    def capped_tested_campaign(self, gen_cfg):
+        return dive_campaign(
+            lambda: IncrementalFiltering(arc_alldiff(3)),
+            lambda: IncrementalFiltering(
+                make_reference(ConsistencyLevel.ARC, all_different(3), cap=1)
+            ),
+            gen_cfg,
+            DiveConfig(),
+        )
+
+    def test_tested_reference_past_its_cap_is_skipped_not_blamed(self):
+        # A tested reference that exceeds its cap has not claimed
+        # inconsistency: the root is skipped, until one fits the cap.
+        report = self.capped_tested_campaign(GenConfig(n_vars=3, seed=1))
+        assert report.passed and report.redraws > 0
+
+    def test_campaign_ends_after_max_redraws_skipped_roots(self):
+        # Every root is the full 4x4x4 box, which no search fits with cap=1.
+        with pytest.raises(EnumerationCapExceeded, match="1000 draws in a row"):
+            self.capped_tested_campaign(
+                GenConfig(n_vars=3, value_min=0, value_max=3, density=1.0, seed=1)
+            )
 
     def test_failure_that_does_not_repeat_is_a_contract_violation(self):
         setups = []
