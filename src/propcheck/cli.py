@@ -289,7 +289,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_dive(args: argparse.Namespace) -> int:
     cfg = _gen_config(args)
     try:
-        dive_cfg = DiveConfig(nb_dives=args.dives, max_depth=args.max_depth, seed=args.seed)
+        dive_cfg = DiveConfig(nb_dives=args.dives, max_depth=args.max_depth)
     except ValueError as exc:
         raise UsageError(str(exc))
     trusted_base = parse_reference_spec(args.trusted, args.vars)

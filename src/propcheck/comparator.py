@@ -46,7 +46,6 @@ class Failure:
     shrunk: Instance
     trusted_outcome: FilterOutcome
     tested_outcome: FilterOutcome
-    mode: ComparisonMode
     reason: str
     shrunk_minimal: bool = True
     transcript: Optional[tuple] = None  # BranchOps, dives campaigns only
@@ -100,7 +99,6 @@ def disagreement(
         shrunk=inst,
         trusted_outcome=trusted_out,
         tested_outcome=tested_out,
-        mode=mode,
         reason=reason,
     )
 

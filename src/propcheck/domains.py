@@ -3,17 +3,21 @@
 Everything here is immutable and safe to share. Inconsistency is a value
 (`INCONSISTENT`), not an exception, so that outcome comparison is total.
 
-`Domain(values)` sorts, deduplicates and range-checks its input; every
-value that comes from outside the program (the generator, CLI JSON, tests,
-user code) goes through it. `Domain._from_sorted` skips those checks and is
-used only for a tuple derived from an existing `Domain` or solver variable,
-which is already sorted, distinct and in range.
+`Domain` and `Instance` are validated, immutable tuples: a domain is the
+tuple of its values and an instance the tuple of its domains, so equality,
+hashing, length and membership are the tuple's own. `Domain(values)` sorts,
+deduplicates and range-checks its input; every value that comes from
+outside the program (the generator, CLI JSON, tests, user code) goes
+through it. `Domain._from_sorted` skips those checks and is used only for
+values derived from an existing `Domain` or solver variable, which are
+already sorted, distinct and in range. `Instance(domains)` rejects arity 0
+and any element that is not a `Domain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -25,117 +29,100 @@ class ContractViolationError(Exception):
     """A caller or a filter under test broke an interface contract."""
 
 
-class Domain:
-    """A finite set of signed integers, iterated in increasing order."""
+class Domain(tuple):
+    """A finite set of signed integers: a tuple of them in increasing order.
 
-    __slots__ = ("_values",)
+    Being a tuple, a domain equals (and hashes like) a plain tuple of the
+    same values.
+    """
 
-    def __init__(self, values: Iterable[int] = ()) -> None:
-        vs = tuple(sorted(set(values)))
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable[int] = ()) -> "Domain":
+        vs = sorted(set(values))
         if vs and (vs[0] < INT32_MIN or vs[-1] > INT32_MAX):
             raise ValueError(f"domain value outside signed 32-bit range: {vs[0]}..{vs[-1]}")
-        self._values = vs
+        return tuple.__new__(cls, vs)
 
     @classmethod
-    def _from_sorted(cls, values: tuple[int, ...]) -> "Domain":
+    def _from_sorted(cls, values: Iterable[int]) -> "Domain":
         """A domain over `values`, which must be sorted, distinct and in range."""
-        d = object.__new__(cls)
-        d._values = values
-        return d
+        return tuple.__new__(cls, values)
 
     @property
     def values(self) -> tuple[int, ...]:
-        return self._values
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._values
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Domain) and self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self._values)
+        return self
 
     def __repr__(self) -> str:
-        return "{%s}" % ", ".join(str(v) for v in self._values)
+        return "{%s}" % ", ".join(str(v) for v in self)
 
     def is_empty(self) -> bool:
-        return not self._values
+        return not self
 
     def min(self) -> int:
-        if not self._values:
+        if not self:
             raise ValueError("empty domain has no minimum")
-        return self._values[0]
+        return self[0]
 
     def max(self) -> int:
-        if not self._values:
+        if not self:
             raise ValueError("empty domain has no maximum")
-        return self._values[-1]
+        return self[-1]
 
     def issubset(self, other: "Domain") -> bool:
-        ov = other._values
-        return all(v in ov for v in self._values)
+        return all(v in other for v in self)
 
     def remove(self, v: int) -> "Domain":
         """A new domain without `v` (unchanged if absent)."""
-        if v not in self._values:
+        if v not in self:
             return self
-        return Domain._from_sorted(tuple(x for x in self._values if x != v))
+        return Domain._from_sorted(x for x in self if x != v)
 
 
-class Instance:
-    """An ordered, fixed-arity sequence of domains."""
+class Instance(tuple):
+    """An ordered, fixed-arity tuple of domains; it too equals a plain tuple
+    of the same domains."""
 
-    __slots__ = ("domains",)
+    __slots__ = ()
 
-    def __init__(self, domains: Iterable[Domain]) -> None:
-        ds = tuple(domains)
+    def __new__(cls, domains: Iterable[Domain]) -> "Instance":
+        ds = tuple.__new__(cls, domains)
         if not ds:
             raise ValueError("an instance needs arity >= 1")
         if not all(isinstance(d, Domain) for d in ds):
             raise TypeError("Instance expects Domain values")
-        self.domains = ds
+        return ds
 
     @classmethod
     def of(cls, lists: Iterable[Iterable[int]]) -> "Instance":
         return cls(Domain(vs) for vs in lists)
 
     @property
+    def domains(self) -> tuple[Domain, ...]:
+        return self
+
+    @property
     def arity(self) -> int:
-        return len(self.domains)
+        return len(self)
 
     def search_space_size(self) -> int:
         size = 1
-        for d in self.domains:
+        for d in self:
             size *= len(d)
         return size
 
     def member(self, assignment: Assignment) -> bool:
-        return len(assignment) == self.arity and all(
-            v in d for v, d in zip(assignment, self.domains)
-        )
+        return len(assignment) == len(self) and all(v in d for v, d in zip(assignment, self))
 
     def pointwise_subset_of(self, other: "Instance") -> bool:
         if self.arity != other.arity:
             raise ContractViolationError(
                 f"arity mismatch: {self.arity} vs {other.arity}"
             )
-        return all(a.issubset(b) for a, b in zip(self.domains, other.domains))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Instance) and self.domains == other.domains
-
-    def __hash__(self) -> int:
-        return hash(self.domains)
+        return all(a.issubset(b) for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return "Instance[%s]" % ", ".join(repr(d) for d in self.domains)
+        return "Instance[%s]" % ", ".join(repr(d) for d in self)
 
 
 class Filtered:
@@ -144,7 +131,7 @@ class Filtered:
     __slots__ = ("instance",)
 
     def __init__(self, instance: Instance) -> None:
-        if any(d.is_empty() for d in instance.domains):
+        if any(d.is_empty() for d in instance):
             raise ValueError("a Filtered outcome cannot contain an empty domain")
         self.instance = instance
 
@@ -194,7 +181,7 @@ def is_leaf(o: FilterOutcome) -> bool:
     """True iff nothing remains to branch on: inconsistent, or all fixed."""
     if o is INCONSISTENT:
         return True
-    return all(is_fixed(d) for d in o.instance.domains)
+    return all(is_fixed(d) for d in o.instance)
 
 
 def _check_arity(a: FilterOutcome, b: FilterOutcome) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .domains import Domain, Instance
+from .domains import INT32_MAX, INT32_MIN, Domain, Instance
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,6 +64,8 @@ class GenConfig:
             raise ValueError("n_vars must be >= 1")
         if self.value_min > self.value_max:
             raise ValueError("value_min must be <= value_max")
+        if self.value_min < INT32_MIN or self.value_max > INT32_MAX:
+            raise ValueError("value_min and value_max must be signed 32-bit integers")
         if not (0.0 < self.density <= 1.0):
             raise ValueError("density must be in (0, 1]")
         if self.n_tests < 1:

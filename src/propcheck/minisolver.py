@@ -132,15 +132,46 @@ class TrailedVar:
         return self._removed([w for w in self.values() if w != v])
 
 
-class Propagator:
-    """Contracting filtering procedure over a scope of trailed variables."""
+class BugId(enum.Enum):
+    NONE = "NONE"
+    BUG_SUM_REVERSED_BOUND = "BUG_SUM_REVERSED_BOUND"
+    BUG_ALLDIFF_FC_SKIP_LAST = "BUG_ALLDIFF_FC_SKIP_LAST"
+    BUG_TRAIL_NO_RESTORE = "BUG_TRAIL_NO_RESTORE"
 
-    def __init__(self, scope: list[TrailedVar]) -> None:
+
+class Propagator:
+    """Contracting filtering procedure over a scope of trailed variables.
+
+    With BUG_TRAIL_NO_RESTORE, a propagator remembers every fixed
+    (variable index, value) pair it has seen without trail entries, so the
+    cache goes stale after a pop.
+    """
+
+    def __init__(self, scope: list[TrailedVar], bug: BugId = BugId.NONE) -> None:
         self.scope = scope
+        self.bug = bug
         self.queued = False
+        self._seen_fixed: dict[int, int] = {}  # deliberately not trailed
 
     def propagate(self) -> None:
         raise NotImplementedError
+
+    def _stale_fixed(self) -> dict[int, int]:
+        """Add the variables fixed now to the untrailed cache and return it."""
+        for i, var in enumerate(self.scope):
+            if i not in self._seen_fixed and var.is_fixed():
+                self._seen_fixed[i] = var.value()
+        return self._seen_fixed
+
+    def _prune_fixed(self, pairs: list[tuple[int, int]], skip: Optional[int] = None) -> bool:
+        """Remove each fixed pair's value from the other variables except
+        `skip`; True iff a domain changed."""
+        changed = False
+        for i, value in pairs:
+            for j, var in enumerate(self.scope):
+                if j != i and j != skip and var.remove_value(value):
+                    changed = True
+        return changed
 
 
 class Solver:
@@ -195,25 +226,16 @@ class Solver:
         self.trail.pop()
 
 
-class BugId(enum.Enum):
-    NONE = "NONE"
-    BUG_SUM_REVERSED_BOUND = "BUG_SUM_REVERSED_BOUND"
-    BUG_ALLDIFF_FC_SKIP_LAST = "BUG_ALLDIFF_FC_SKIP_LAST"
-    BUG_TRAIL_NO_RESTORE = "BUG_TRAIL_NO_RESTORE"
-
-
 class SumEqualsBC(Propagator):
     """Bounds-consistent sum-equals-constant propagator.
 
-    With BUG_TRAIL_NO_RESTORE, the set of fixed variables and their values
-    is cached without trail entries, so the cache goes stale after a pop.
+    With BUG_TRAIL_NO_RESTORE, a variable once seen fixed keeps its value in
+    the bounds sums, also after a pop.
     """
 
     def __init__(self, total: int, scope: list[TrailedVar], bug: BugId = BugId.NONE) -> None:
-        super().__init__(scope)
+        super().__init__(scope, bug)
         self.total = total
-        self.bug = bug
-        self._seen_fixed: dict[int, int] = {}  # deliberately not trailed
 
     def propagate(self) -> None:
         stale = self.bug is BugId.BUG_TRAIL_NO_RESTORE
@@ -221,15 +243,12 @@ class SumEqualsBC(Propagator):
         changed = True
         while changed:
             changed = False
-            if stale:
-                for i, var in enumerate(self.scope):
-                    if i not in self._seen_fixed and var.is_fixed():
-                        self._seen_fixed[i] = var.value()
+            fixed = self._stale_fixed() if stale else {}
             mins, maxs = [], []
             for i, var in enumerate(self.scope):
-                if stale and i in self._seen_fixed:
-                    mins.append(self._seen_fixed[i])
-                    maxs.append(self._seen_fixed[i])
+                if i in fixed:
+                    mins.append(fixed[i])
+                    maxs.append(fixed[i])
                 else:
                     mins.append(var.min())
                     maxs.append(var.max())
@@ -252,35 +271,18 @@ class AllDifferentFC(Propagator):
     the other domains.
 
     BUG_ALLDIFF_FC_SKIP_LAST never prunes the highest-index variable.
-    BUG_TRAIL_NO_RESTORE remembers fixed (variable, value) pairs without
-    trail entries and keeps pruning them after a pop.
+    BUG_TRAIL_NO_RESTORE keeps pruning the cached fixed pairs after a pop.
     """
-
-    def __init__(self, scope: list[TrailedVar], bug: BugId = BugId.NONE) -> None:
-        super().__init__(scope)
-        self.bug = bug
-        self._seen_fixed: dict[int, int] = {}  # deliberately not trailed
 
     def _fixed_pairs(self) -> list[tuple[int, int]]:
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
-            for i, var in enumerate(self.scope):
-                if i not in self._seen_fixed and var.is_fixed():
-                    self._seen_fixed[i] = var.value()
-            return sorted(self._seen_fixed.items())
+            return sorted(self._stale_fixed().items())
         return [(i, v.value()) for i, v in enumerate(self.scope) if v.is_fixed()]
 
     def propagate(self) -> None:
-        last = len(self.scope) - 1
-        skip_last = self.bug is BugId.BUG_ALLDIFF_FC_SKIP_LAST
-        changed = True
-        while changed:
-            changed = False
-            for i, value in self._fixed_pairs():
-                for j, var in enumerate(self.scope):
-                    if j == i or (skip_last and j == last):
-                        continue
-                    if var.remove_value(value):
-                        changed = True
+        skip = len(self.scope) - 1 if self.bug is BugId.BUG_ALLDIFF_FC_SKIP_LAST else None
+        while self._prune_fixed(self._fixed_pairs(), skip):
+            pass
 
 
 def _tarjan_scc(succ: list[list[int]]) -> list[int]:
@@ -337,25 +339,13 @@ class AllDifferentAC(Propagator):
 
     The maximum matching is kept across calls and only repaired where the
     domains invalidated it, which makes the propagator genuinely stateful.
-    With BUG_TRAIL_NO_RESTORE, fixed (variable, value) pairs are remembered
-    without trail entries and pre-pruned from the other domains, which is
-    sound during a descent but wrong after a pop.
+    With BUG_TRAIL_NO_RESTORE, the cached fixed pairs are pre-pruned from
+    the other domains, which is sound during a descent but wrong after a pop.
     """
 
     def __init__(self, scope: list[TrailedVar], bug: BugId = BugId.NONE) -> None:
-        super().__init__(scope)
-        self.bug = bug
+        super().__init__(scope, bug)
         self._match: dict[int, int] = {}  # var index -> matched value
-        self._seen_fixed: dict[int, int] = {}  # deliberately not trailed
-
-    def _stale_prune(self) -> None:
-        for i, var in enumerate(self.scope):
-            if i not in self._seen_fixed and var.is_fixed():
-                self._seen_fixed[i] = var.value()
-        for i, value in sorted(self._seen_fixed.items()):
-            for j, var in enumerate(self.scope):
-                if j != i:
-                    var.remove_value(value)
 
     def _repair_matching(self) -> dict[int, int]:
         match = self._match
@@ -383,7 +373,7 @@ class AllDifferentAC(Propagator):
 
     def propagate(self) -> None:
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
-            self._stale_prune()
+            self._prune_fixed(sorted(self._stale_fixed().items()))
         match = self._repair_matching()
         doms = [var.values() for var in self.scope]
 

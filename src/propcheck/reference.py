@@ -166,7 +166,7 @@ def _filter(
                             lists[i] = hull(vs)
                         removed = True
         if not (removed and intervals):
-            return Filtered(Instance([Domain._from_sorted(tuple(vs)) for vs in kept]))
+            return Filtered(Instance([Domain._from_sorted(vs) for vs in kept]))
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:

@@ -26,7 +26,7 @@ from .domains import (
     is_leaf,
     pointwise_equal,
 )
-from .comparator import ComparisonMode, Failure, Property, TestReport, run_campaign
+from .comparator import Failure, Property, TestReport, run_campaign
 from .generator import GenConfig, SplitMix64
 from .generator import shrink  # noqa: F401  (bench/tracing.py patches it by name)
 from .reference import EnumerationCapExceeded
@@ -79,7 +79,7 @@ def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
     if not kept:
         return INCONSISTENT
     doms = list(inst.domains)
-    doms[r.index] = Domain._from_sorted(tuple(kept))
+    doms[r.index] = Domain._from_sorted(kept)
     return Filtered(Instance(doms))
 
 
@@ -144,7 +144,7 @@ class IncrementalFiltering(FilterWithState):
 class DiveConfig:
     nb_dives: int = 20
     max_depth: int = 64
-    seed: int = 0
+    seed: int = 0  # used by dives() without an rng; dive_campaign draws its own
 
     def __post_init__(self) -> None:
         if self.nb_dives < 1:
@@ -193,7 +193,6 @@ def _first_difference(
                 shrunk=root,
                 trusted_outcome=trusted_out,
                 tested_outcome=tested_out,
-                mode=ComparisonMode.EQUALITY,
                 reason=f"outcomes differ after {_AFTER.get(type(op), 'setup')}",
                 transcript=tuple(transcript),
             )

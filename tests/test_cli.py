@@ -130,6 +130,10 @@ class TestRun:
              "--tested", "sum-bc"),  # sum-bc needs a sum=<c> trusted checker
             ("run", "--mode", "check", "--trusted", "arc:alldiff",
              "--tested", "arc:alldiff", "--vars", "0"),
+            ("run", "--mode", "check", "--trusted", "arc:alldiff", "--tested", "alldiff-ac",
+             "--vars", "2", "--min", "2147483648", "--max", "2147483648"),
+            ("run", "--mode", "check", "--trusted", "arc:alldiff", "--tested", "alldiff-ac",
+             "--vars", "2", "--min", "-2147483649", "--max", "-2147483649"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -187,7 +191,13 @@ class TestDive:
         assert all(t["op"] in ("push", "pop", "restrict") for t in transcript)
 
     @pytest.mark.parametrize(
-        "extra", [("--dives", "0"), ("--max-depth", "0")]
+        "extra",
+        [
+            ("--dives", "0"),
+            ("--max-depth", "0"),
+            ("--min", "2147483648", "--max", "2147483648"),
+            ("--min", "-2147483649", "--max", "-2147483649"),
+        ],
     )
     def test_dive_flag_validation(self, capsys, extra):
         code, out, err = run_cli(

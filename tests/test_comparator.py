@@ -5,7 +5,6 @@ import pytest
 import propcheck
 from propcheck import (
     INCONSISTENT,
-    ComparisonMode,
     ConsistencyLevel,
     ContractViolationError,
     Domain,
@@ -161,7 +160,7 @@ class TestReportInvariant:
     def failure(self):
         inst = Instance.of([[1]])
         return Failure(
-            inst, inst, INCONSISTENT, Filtered(inst), ComparisonMode.EQUALITY, "differ"
+            inst, inst, INCONSISTENT, Filtered(inst), "differ"
         )
 
     def test_passing_report_with_failure_is_rejected(self):

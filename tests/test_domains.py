@@ -27,6 +27,15 @@ class TestDomain:
     def test_same_multiset_equal(self):
         assert Domain([2, 1, 1]) == Domain([1, 2])
         assert hash(Domain([2, 1])) == hash(Domain([1, 2]))
+        d = Domain([5, -2, 9])
+        assert Domain._from_sorted(d.values) == d
+        assert hash(Domain._from_sorted(d.values)) == hash(d)
+
+    def test_is_the_tuple_of_its_values(self):
+        d = Domain([2, 1])
+        assert isinstance(d, tuple) and not hasattr(d, "__dict__")
+        assert d == (1, 2) and hash(d) == hash((1, 2))
+        assert len(d) == 2 and list(d) == [1, 2]
 
     def test_32bit_range_enforced(self):
         Domain([-(2**31), 2**31 - 1])  # boundary is fine
@@ -55,6 +64,18 @@ class TestInstance:
         assert inst.arity == 3
         assert inst.search_space_size() == 6
 
+    def test_of_equals_construction_from_domains(self):
+        a = Instance.of([[2, 1], [3]])
+        b = Instance([Domain([1, 2]), Domain([3])])
+        assert a == b and hash(a) == hash(b)
+        assert a.domains == (Domain([1, 2]), Domain([3]))
+
+    def test_non_domain_rejected(self):
+        with pytest.raises(TypeError):
+            Instance([(1, 2)])
+        with pytest.raises(TypeError):
+            Instance([Domain([1]), [2]])
+
     def test_zero_arity_rejected(self):
         with pytest.raises(ValueError):
             Instance([])
@@ -64,6 +85,22 @@ class TestInstance:
         assert inst.member((1, 3))
         assert not inst.member((3, 3))
         assert not inst.member((1,))
+
+
+class TestFiltered:
+    def test_empty_domain_rejected(self):
+        with pytest.raises(ValueError):
+            Filtered(Instance([Domain([1]), Domain()]))
+
+
+def test_reprs():
+    # FilterAssertionError messages print these.
+    assert repr(Domain([3, -1])) == "{-1, 3}"
+    assert repr(Domain()) == "{}"
+    inst = Instance.of([[1, 2], [5]])
+    assert repr(inst) == "Instance[{1, 2}, {5}]"
+    assert repr(Filtered(inst)) == "Filtered(Instance[{1, 2}, {5}])"
+    assert repr(INCONSISTENT) == "Inconsistent"
 
 
 class TestIsFixed:

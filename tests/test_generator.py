@@ -52,11 +52,17 @@ class TestGenConfig:
             {"density": 1.5},
             {"n_tests": 0},
             {"seed": -1},
+            {"value_min": 2**31, "value_max": 2**31},
+            {"value_min": -(2**31) - 1, "value_max": -(2**31) - 1},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GenConfig(**kwargs)
+
+    def test_value_range_may_reach_the_int32_bounds(self):
+        GenConfig(value_min=-(2**31), value_max=-(2**31))
+        GenConfig(value_min=2**31 - 1, value_max=2**31 - 1)
 
 
 class TestGenerateInstance:

@@ -1,0 +1,36 @@
+"""The runtime stays stdlib-only: every module under src/propcheck imports
+only propcheck itself and the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "propcheck"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def imported_roots(tree: ast.AST):
+    """The top-level name of every absolute import in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_found():
+    assert PACKAGE / "__init__.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_imports_are_stdlib_or_propcheck(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    foreign = {
+        name
+        for name in imported_roots(tree)
+        if name != "propcheck" and name not in sys.stdlib_module_names
+    }
+    assert not foreign, f"{path.name} imports non-stdlib modules {sorted(foreign)}"
