@@ -24,8 +24,6 @@ from . import checkers, minisolver, reference
 from .comparator import ComparisonMode, Filter, TestReport, check, disagreement, stronger
 from .domains import (
     INCONSISTENT,
-    INT32_MAX,
-    INT32_MIN,
     ContractViolationError,
     Filtered,
     FilterOutcome,
@@ -168,13 +166,14 @@ def instance_from_doc(doc: Any) -> Instance:
     if not isinstance(allow_empty, bool):
         raise UsageError('"allowEmpty" must be true or false')
     for values in domains:
-        if not isinstance(values, list) or not all(_is_int(v) for v in values):
+        if not isinstance(values, list):
             raise UsageError("each domain must be a list of integers")
         if not values and not allow_empty:
             raise UsageError('empty domain requires "allowEmpty": true')
-        if any(v < INT32_MIN or v > INT32_MAX for v in values):
-            raise UsageError("domain values must fit in signed 32 bits")
-    return Instance.of(domains)
+    try:
+        return Instance.of(domains)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc))
 
 
 def outcome_to_doc(outcome: FilterOutcome) -> dict:

@@ -5,12 +5,13 @@ Everything here is immutable and safe to share. Inconsistency is a value
 
 `Domain` and `Instance` are validated, immutable tuples: a domain is the
 tuple of its values and an instance the tuple of its domains, so equality,
-hashing, length and membership are the tuple's own. `Domain(values)` sorts,
-deduplicates and range-checks its input; every value that comes from
-outside the program (the generator, CLI JSON, tests, user code) goes
-through it. `Domain._from_sorted` skips those checks and is used only for
-values derived from an existing `Domain` or solver variable, which are
-already sorted, distinct and in range. `Instance(domains)` rejects arity 0
+hashing, length and membership are the tuple's own. `Domain(values)` rejects
+a value that is not an `int` or is a `bool`, then sorts, deduplicates and
+range-checks its input; every value that comes from outside the program
+(the generator, CLI JSON, tests, user code) goes through it.
+`Domain._from_sorted` skips those checks and is used only for values
+derived from an existing `Domain` or solver variable, which are already
+sorted, distinct and in range. `Instance(domains)` rejects arity 0
 and any element that is not a `Domain`.
 """
 
@@ -39,7 +40,11 @@ class Domain(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()) -> "Domain":
-        vs = sorted(set(values))
+        vs = list(values)
+        for v in vs:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"domain value is not an integer: {v!r}")
+        vs = sorted(set(vs))
         if vs and (vs[0] < INT32_MIN or vs[-1] > INT32_MAX):
             raise ValueError(f"domain value outside signed 32-bit range: {vs[0]}..{vs[-1]}")
         return tuple.__new__(cls, vs)

@@ -1,10 +1,12 @@
-"""A trail-based CP micro-solver used to dogfood the testing harness.
+"""A copying CP micro-solver used to dogfood the testing harness.
 
 It provides realistic stateful propagators (bounds-consistent sum,
 forward-checking and matching-based alldifferent) plus a small corpus of
-seeded bugs reachable only through an explicit `with_bug` selector. The
-trail records per-removal undo entries, so backtracking restores domains
-exactly; propagators run on a FIFO queue until fixpoint.
+seeded bugs reachable only through an explicit `with_bug` selector. Each
+variable holds one immutable `Domain`; a push saves the domains of all
+variables and a pop writes them back, so backtracking restores domains
+exactly with no undo log and no cache. Propagators run on a FIFO queue
+until fixpoint.
 """
 
 from __future__ import annotations
@@ -24,112 +26,74 @@ from .domains import (
     FilterOutcome,
     Instance,
 )
-from .stateful import FilterWithState, Pop, Push, RestrictDomain, BranchOp
+from .stateful import BranchOp, FilterWithState, Pop, Push
 
 
 class Inconsistency(Exception):
     """Raised inside the solver when a domain empties."""
 
 
-class Trail:
-    """Undo log of (variable, removed value) entries with frame markers."""
+class IntVar:
+    """An integer variable over one immutable `Domain`.
 
-    def __init__(self) -> None:
-        self._entries: list[tuple["TrailedVar", int]] = []
-        self._marks: list[int] = []
-
-    def record(self, var: "TrailedVar", value: int) -> None:
-        self._entries.append((var, value))
-
-    def push(self) -> None:
-        self._marks.append(len(self._entries))
-
-    def depth(self) -> int:
-        return len(self._marks)
-
-    def pop(self) -> None:
-        if not self._marks:
-            raise ContractViolationError("pop_state with no open frame")
-        mark = self._marks.pop()
-        while len(self._entries) > mark:
-            var, value = self._entries.pop()
-            var._values.add(value)
-            var._sorted = None
-
-
-class TrailedVar:
-    """An integer variable whose removals are undone exactly on backtrack.
-
-    The sorted values are cached; a removal and a trail pop reset the cache.
+    Every removal stores a new, smaller domain; the solver saves and
+    restores the domains of all its variables on push and pop.
     """
 
-    __slots__ = ("vid", "_values", "_sorted", "_solver", "watchers")
+    __slots__ = ("vid", "dom", "_solver", "watchers")
 
-    def __init__(self, solver: "Solver", vid: int, values: Iterable[int]) -> None:
+    def __init__(self, solver: "Solver", vid: int, dom: Domain) -> None:
+        if not dom:
+            raise ValueError("a solver variable needs a non-empty domain")
         self.vid = vid
-        self._values = set(values)
-        self._sorted: Optional[tuple[int, ...]] = None
+        self.dom = dom
         self._solver = solver
         self.watchers: list["Propagator"] = []
-        if not self._values:
-            raise ValueError("a solver variable needs a non-empty domain")
 
     def values(self) -> tuple[int, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._values))
-        return self._sorted
+        return self.dom
 
     def is_fixed(self) -> bool:
-        return len(self._values) == 1
+        return len(self.dom) == 1
 
     def value(self) -> int:
-        if len(self._values) != 1:
+        if len(self.dom) != 1:
             raise ValueError("variable is not fixed")
-        return next(iter(self._values))
+        return self.dom[0]
 
     def min(self) -> int:
-        return self.values()[0]
+        return self.dom[0]
 
     def max(self) -> int:
-        return self.values()[-1]
+        return self.dom[-1]
 
     def __contains__(self, v: int) -> bool:
-        return v in self._values
+        return v in self.dom
 
-    def _removed(self, vs: Sequence[int]) -> bool:
-        if not vs:
+    def _keep(self, kept: Sequence[int]) -> bool:
+        """Narrow the domain to `kept`, a sorted sub-sequence of it; True iff
+        a value was removed. An emptying removal leaves the domain as it was."""
+        if len(kept) == len(self.dom):
             return False
-        trail = self._solver.trail
-        for v in vs:
-            trail.record(self, v)
-            self._values.discard(v)
-        self._sorted = None
-        if not self._values:
+        if not kept:
             raise Inconsistency(f"domain of x{self.vid} emptied")
+        self.dom = Domain._from_sorted(kept)
         self._solver.on_change(self)
         return True
 
     def remove_value(self, v: int) -> bool:
-        if v not in self._values:
-            return False
-        return self._removed((v,))
+        return self._keep(self.dom.remove(v))
 
     def remove_below(self, bound: int) -> bool:
-        vs = self.values()
-        if bound <= vs[0]:
-            return False
-        return self._removed(vs[: bisect_left(vs, bound)])
+        return self._keep(self.dom[bisect_left(self.dom, bound) :])
 
     def remove_above(self, bound: int) -> bool:
-        vs = self.values()
-        if bound >= vs[-1]:
-            return False
-        return self._removed(vs[bisect_right(vs, bound) :])
+        return self._keep(self.dom[: bisect_right(self.dom, bound)])
 
     def assign(self, v: int) -> bool:
-        if v not in self._values:
+        if v not in self.dom:
             raise Inconsistency(f"x{self.vid} cannot take value {v}")
-        return self._removed([w for w in self.values() if w != v])
+        return self._keep((v,))
 
 
 class BugId(enum.Enum):
@@ -140,24 +104,24 @@ class BugId(enum.Enum):
 
 
 class Propagator:
-    """Contracting filtering procedure over a scope of trailed variables.
+    """Contracting filtering procedure over a scope of solver variables.
 
     With BUG_TRAIL_NO_RESTORE, a propagator remembers every fixed
-    (variable index, value) pair it has seen without trail entries, so the
-    cache goes stale after a pop.
+    (variable index, value) pair it has seen in a cache that a pop does not
+    restore, so the cache goes stale after a pop.
     """
 
-    def __init__(self, scope: list[TrailedVar], bug: BugId = BugId.NONE) -> None:
+    def __init__(self, scope: list[IntVar], bug: BugId = BugId.NONE) -> None:
         self.scope = scope
         self.bug = bug
         self.queued = False
-        self._seen_fixed: dict[int, int] = {}  # deliberately not trailed
+        self._seen_fixed: dict[int, int] = {}  # deliberately not restored on pop
 
     def propagate(self) -> None:
         raise NotImplementedError
 
     def _stale_fixed(self) -> dict[int, int]:
-        """Add the variables fixed now to the untrailed cache and return it."""
+        """Add the variables fixed now to the unrestored cache and return it."""
         for i, var in enumerate(self.scope):
             if i not in self._seen_fixed and var.is_fixed():
                 self._seen_fixed[i] = var.value()
@@ -175,20 +139,22 @@ class Propagator:
 
 
 class Solver:
-    """Single-owner micro-solver: variables, trail, FIFO propagation queue."""
+    """Single-owner micro-solver: variables, saved domains per open push,
+    FIFO propagation queue."""
 
     def __init__(self) -> None:
-        self.trail = Trail()
-        self.variables: list[TrailedVar] = []
+        self.variables: list[IntVar] = []
         self.propagators: list[Propagator] = []
         self._queue: deque[Propagator] = deque()
+        self._saved: list[list[Domain]] = []  # the domains at each open push
 
-    def int_var(self, values: Iterable[int]) -> TrailedVar:
-        var = TrailedVar(self, len(self.variables), values)
+    def int_var(self, values: Iterable[int]) -> IntVar:
+        dom = values if isinstance(values, Domain) else Domain(values)
+        var = IntVar(self, len(self.variables), dom)
         self.variables.append(var)
         return var
 
-    def on_change(self, var: TrailedVar) -> None:
+    def on_change(self, var: IntVar) -> None:
         for p in var.watchers:
             self._schedule(p)
 
@@ -219,11 +185,17 @@ class Solver:
                 self._queue.pop().queued = False
             raise
 
+    def depth(self) -> int:
+        return len(self._saved)
+
     def push_state(self) -> None:
-        self.trail.push()
+        self._saved.append([var.dom for var in self.variables])
 
     def pop_state(self) -> None:
-        self.trail.pop()
+        if not self._saved:
+            raise ContractViolationError("pop_state with no open frame")
+        for var, dom in zip(self.variables, self._saved.pop()):
+            var.dom = dom
 
 
 class SumEqualsBC(Propagator):
@@ -233,7 +205,7 @@ class SumEqualsBC(Propagator):
     the bounds sums, also after a pop.
     """
 
-    def __init__(self, total: int, scope: list[TrailedVar], bug: BugId = BugId.NONE) -> None:
+    def __init__(self, total: int, scope: list[IntVar], bug: BugId = BugId.NONE) -> None:
         super().__init__(scope, bug)
         self.total = total
 
@@ -343,7 +315,7 @@ class AllDifferentAC(Propagator):
     the other domains, which is sound during a descent but wrong after a pop.
     """
 
-    def __init__(self, scope: list[TrailedVar], bug: BugId = BugId.NONE) -> None:
+    def __init__(self, scope: list[IntVar], bug: BugId = BugId.NONE) -> None:
         super().__init__(scope, bug)
         self._match: dict[int, int] = {}  # var index -> matched value
 
@@ -441,7 +413,7 @@ class Recipe:
             return self.name
         return f"{self.name}+bug:{self.bug.value}"
 
-    def build(self, solver: Solver, scope: list[TrailedVar]) -> None:
+    def build(self, solver: Solver, scope: list[IntVar]) -> None:
         kind = RECIPES[self.kind]
         args = (self.total, scope) if kind.needs_total else (scope,)
         solver.post(kind.propagator(*args, self.bug))
@@ -469,42 +441,38 @@ def with_bug(bug: BugId, recipe: Recipe) -> Recipe:
     return replace(recipe, bug=bug)
 
 
-def _solver_for(
-    recipe: Recipe, arity: int, inst: Instance
-) -> tuple[Optional[Solver], list[TrailedVar], bool]:
-    """A fresh solver over `inst` with `recipe` posted, its variables, and
-    whether the root failed; there is no solver when the root failed."""
+def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:
+    """A fresh solver over `inst` with `recipe` posted; None when the root fails."""
     if inst.arity != arity:
         raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
-    if any(d.is_empty() for d in inst.domains):
-        return None, [], True
+    if any(d.is_empty() for d in inst):
+        return None
     solver = Solver()
-    scope = [solver.int_var(d.values) for d in inst.domains]
+    scope = [solver.int_var(d) for d in inst]
     try:
         recipe.build(solver, scope)
     except Inconsistency:
-        return None, scope, True
-    return solver, scope, False
+        return None
+    return solver
 
 
-def _outcome(scope: list[TrailedVar], failed: bool) -> FilterOutcome:
-    if failed:
+def _outcome(solver: Optional[Solver]) -> FilterOutcome:
+    if solver is None:
         return INCONSISTENT
-    return Filtered(Instance(Domain._from_sorted(v.values()) for v in scope))
+    return Filtered(Instance(v.dom for v in solver.variables))
 
 
 def as_filter(recipe: Recipe, arity: int) -> Filter:
     """A static Filter running a fresh solver per application."""
 
     def apply(inst: Instance) -> FilterOutcome:
-        _, scope, failed = _solver_for(recipe, arity, inst)
-        return _outcome(scope, failed)
+        return _outcome(_solver_for(recipe, arity, inst))
 
     return Filter(arity=arity, apply=apply, name=recipe.display_name())
 
 
 class SolverBackedStateful(FilterWithState):
-    """FilterWithState over a fresh solver; branch ops map to trail
+    """FilterWithState over a fresh solver; branch ops map to solver
     push/pop and domain restrictions, each followed by a propagation
     fixpoint."""
 
@@ -512,7 +480,6 @@ class SolverBackedStateful(FilterWithState):
         self._recipe = recipe
         self._arity = arity
         self._solver: Optional[Solver] = None
-        self._scope: list[TrailedVar] = []
         self._failed_at: Optional[int] = None  # open frames when it failed
         self._setup_done = False
 
@@ -520,8 +487,8 @@ class SolverBackedStateful(FilterWithState):
         if self._setup_done:
             raise ContractViolationError("setup called twice")
         self._setup_done = True
-        self._solver, self._scope, failed = _solver_for(self._recipe, self._arity, root)
-        return _outcome(self._scope, failed)
+        self._solver = _solver_for(self._recipe, self._arity, root)
+        return _outcome(self._solver)
 
     def branch_and_filter(self, op: BranchOp) -> FilterOutcome:
         if not self._setup_done:
@@ -533,7 +500,7 @@ class SolverBackedStateful(FilterWithState):
             solver.push_state()
         elif isinstance(op, Pop):
             solver.pop_state()
-            if self._failed_at is not None and solver.trail.depth() < self._failed_at:
+            if self._failed_at is not None and solver.depth() < self._failed_at:
                 self._failed_at = None
             if self._failed_at is None:
                 # Re-reaching the fixpoint is a no-op for well-behaved
@@ -542,11 +509,11 @@ class SolverBackedStateful(FilterWithState):
                     solver.schedule_all()
                     solver.fixpoint()
                 except Inconsistency:
-                    self._failed_at = solver.trail.depth()
+                    self._failed_at = solver.depth()
         elif self._failed_at is None:
-            if not 0 <= op.index < len(self._scope):
+            if not 0 <= op.index < len(solver.variables):
                 raise ContractViolationError(f"restriction index {op.index} out of range")
-            var = self._scope[op.index]
+            var = solver.variables[op.index]
             try:
                 if op.relation == "=":
                     var.assign(op.constant)
@@ -558,8 +525,8 @@ class SolverBackedStateful(FilterWithState):
                     var.remove_below(op.constant + 1)
                 solver.fixpoint()
             except Inconsistency:
-                self._failed_at = solver.trail.depth()
-        return _outcome(self._scope, self._failed_at is not None)
+                self._failed_at = solver.depth()
+        return INCONSISTENT if self._failed_at is not None else _outcome(solver)
 
 
 def as_filter_with_state(recipe: Recipe, arity: int) -> SolverBackedStateful:

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py`` — each criterion prints a
 settings, so the gate is readable straight off the CI log.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -327,32 +328,58 @@ def test_criterion_6_shrinking_quality(announce):
 
 def test_criterion_7_deterministic_cli_output(announce, capsys):
     """Two runs of any campaign with identical flags produce byte-identical
-    stdout."""
+    stdout, and that stdout has the sha256 recorded here, so a campaign
+    prints the same bytes from one commit to the next. A deliberate change
+    to the random stream, the draw order or the report format updates these
+    digests, with a CHANGES.md entry that says so."""
     campaigns = [
         (
-            "run", "--mode", "check", "--trusted", "boundz:sum=0",
-            "--tested", "sum-bc+bug:SUM_REVERSED_BOUND", "--seed", "17",
+            ("run", "--mode", "check", "--trusted", "boundz:sum=0",
+             "--tested", "sum-bc+bug:SUM_REVERSED_BOUND", "--seed", "17"),
+            "cef39f5c40cd21b10dd7f8b73742a5f1a7e11b7c5f5a6917cced532d0fb3fbd2",
         ),
         (
-            "run", "--mode", "stronger", "--trusted", "boundz:alldiff",
-            "--tested", "arc:alldiff", "--vars", "3", "--seed", "4",
+            ("run", "--mode", "stronger", "--trusted", "boundz:alldiff",
+             "--tested", "arc:alldiff", "--vars", "3", "--seed", "4"),
+            "82b49116e2aa0c8e2457e635a32d0330a0fbe9496d1b7e3bfa635eb3110cfcfe",
         ),
         (
-            "dive", "--trusted", "boundz:sum=0",
-            "--tested", "sum-bc+bug:TRAIL_NO_RESTORE", "--seed", "8",
+            ("dive", "--trusted", "boundz:sum=0",
+             "--tested", "sum-bc+bug:TRAIL_NO_RESTORE", "--seed", "8"),
+            "83ef882f244abb26d25185450ab22bad6550786ab7a2fbae0073d29050e101c9",
+        ),
+        (
+            ("run", "--mode", "check", "--trusted", "boundz:sum=0",
+             "--tested", "sum-bc", "--seed", "5"),
+            "d54e97fdbcbc3655622ae3faca18225906ab8e070c427bb957aec3eee757689c",
+        ),
+        (
+            ("dive", "--trusted", "arc:alldiff", "--tested", "alldiff-ac", "--seed", "6"),
+            "c9e0d07f495b3c9aae1562ff3b7d7f0bc9f21d836d2d15c4afafa20e4261f720",
+        ),
+        (
+            ("dive", "--trusted", "arc:alldiff",
+             "--tested", "alldiff-ac+bug:TRAIL_NO_RESTORE", "--seed", "7"),
+            "f96c6c68faaf9432ba1935001f6ef2a1eaafdc30d2e27233b81c712f8934f71c",
+        ),
+        (
+            ("dive", "--trusted", "arc:alldiff",
+             "--tested", "alldiff-fc+bug:TRAIL_NO_RESTORE", "--seed", "9"),
+            "a76b92bcdf99cb3f0aa25582fd7a034691038bf7f07abd8d6ca913a9aa53317d",
         ),
     ]
-    ok = True
-    for argv in campaigns:
+    mismatched = []
+    for argv, digest in campaigns:
         cli_main(list(argv))
         first = capsys.readouterr().out
         cli_main(list(argv))
         second = capsys.readouterr().out
-        if first != second or not first:
-            ok = False
         json.loads(first)  # stdout is exactly one JSON document
+        if first != second or hashlib.sha256(first.encode()).hexdigest() != digest:
+            mismatched.append(" ".join(argv))
+    ok = not mismatched
     announce(7, "deterministic CLI output", ok, f"{len(campaigns)} campaigns, byte-exact")
-    assert ok
+    assert ok, mismatched
 
 
 class _SnapshotAudit(FilterWithState):

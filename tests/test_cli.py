@@ -252,6 +252,7 @@ class TestOracle:
             json.dumps({"domains": [[2**31]]}),  # out of 32-bit range
             json.dumps({"nope": 1}),
             json.dumps({"domains": [[True, False], [1]]}),  # booleans are not integers
+            json.dumps({"domains": [[1.5], [1]]}),  # not an integer
             json.dumps({"domains": [[1], []], "allowEmpty": "false"}),  # not a boolean
         ],
     )

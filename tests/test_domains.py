@@ -44,6 +44,13 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain([-(2**31) - 1])
 
+    @pytest.mark.parametrize("value", [0.5, True, "a"])
+    def test_non_integer_rejected(self, value):
+        with pytest.raises(TypeError):
+            Domain([1, value])
+        with pytest.raises(TypeError):
+            Instance.of([[value], [1, 2]])
+
     def test_membership_and_bounds(self):
         d = Domain([5, -2, 9])
         assert -2 in d and 5 in d and 3 not in d

@@ -1,4 +1,5 @@
-"""The trail-based micro-solver, its propagators, and the seeded bugs."""
+"""The copying micro-solver (domains saved on push, restored on pop), its
+propagators, and the seeded bugs."""
 
 import itertools
 
@@ -96,8 +97,8 @@ class TestTrail:
             x.assign(5)
 
     def test_reads_follow_nested_frames(self):
-        # Each read fills the cached sorted values; every later removal and
-        # pop must show in the next read.
+        # Every removal stores a new domain and every pop writes the saved
+        # one back; each must show in the next read.
         solver, (x,) = solver_with([[5, 1, 4, 2, 3]])
         assert_reads(x, [1, 2, 3, 4, 5])
         solver.push_state()
@@ -400,8 +401,8 @@ class TestSolverBackedStateful:
     ids=["alldiff-ac", "sum-bc:0"],
 )
 def test_solver_subjects_agree_with_references_through_dives(recipe, level, checker, seed):
-    # Dives pop back to earlier states, so the solver's matching, trail and
-    # cached values must come back exactly at every depth.
+    # Dives pop back to earlier states, so the solver's matching and saved
+    # domains must bring every variable back exactly at every depth.
     root = generate_instance(SplitMix64(seed), GenConfig(seed=seed))
     report = dives(
         root,
