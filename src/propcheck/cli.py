@@ -15,6 +15,7 @@ exceeded, 4 replay did not reproduce.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -409,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tested", required=True, help="recipe or <level>:<checker>")
     p_run.add_argument("--tests", type=int, default=100)
     add_gen_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_dive = sub.add_parser("dive", help="run a stateful dives campaign")
     p_dive.add_argument("--trusted", required=True, help="<level>:<checker>")
@@ -417,32 +417,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_dive.add_argument("--dives", type=int, default=20)
     p_dive.add_argument("--max-depth", type=int, default=64)
     add_gen_flags(p_dive)
-    p_dive.set_defaults(func=cmd_dive)
 
     p_oracle = sub.add_parser(
         "oracle", help="filter a JSON instance from stdin through a reference"
     )
     p_oracle.add_argument("--level", required=True)
     p_oracle.add_argument("--checker", required=True)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_replay = sub.add_parser("replay", help="replay a failing report")
     p_replay.add_argument("--report", required=True)
-    p_replay.set_defaults(func=cmd_replay)
 
     return parser
 
 
+# Built on the first `main` call, not at import; parsing leaves it unchanged.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        # Looked up per call, so a handler replaced after the first call runs.
+        handlers = {"run": cmd_run, "dive": cmd_dive, "oracle": cmd_oracle, "replay": cmd_replay}
+        return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -82,7 +82,7 @@ class IntVar:
         return True
 
     def remove_value(self, v: int) -> bool:
-        return self._keep(self.dom.remove(v))
+        return v in self.dom and self._keep(self.dom.remove(v))
 
     def remove_below(self, bound: int) -> bool:
         return self._keep(self.dom[bisect_left(self.dom, bound) :])
@@ -257,60 +257,15 @@ class AllDifferentFC(Propagator):
             pass
 
 
-def _tarjan_scc(succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan over nodes 0..len(succ)-1; returns each node's component id."""
-    n = len(succ)
-    index = [-1] * n
-    lowlink = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comp_id = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if index[nxt] < 0:
-                    index[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_id
-                    if w == node:
-                        break
-                comp_id += 1
-    return comp
-
-
 class AllDifferentAC(Propagator):
     """Matching-based (Regin-style) arc-consistent alldifferent.
 
     The maximum matching is kept across calls and only repaired where the
     domains invalidated it, which makes the propagator genuinely stateful.
+    Regin's rule keeps an unmatched edge (i, v) iff it lies on an
+    alternating cycle or on an even alternating path from a free value;
+    both are read from a reachability closure over the variables alone,
+    where i reaches j when D(j) holds the value matched to i.
     With BUG_TRAIL_NO_RESTORE, the cached fixed pairs are pre-pruned from
     the other domains, which is sound during a descent but wrong after a pop.
     """
@@ -320,6 +275,8 @@ class AllDifferentAC(Propagator):
         self._match: dict[int, int] = {}  # var index -> matched value
 
     def _repair_matching(self) -> dict[int, int]:
+        """Repair the kept matching so it covers every variable; return its
+        inverse, the variable index of each matched value."""
         match = self._match
         for i, var in list(match.items()):
             if match[i] not in self.scope[i]:
@@ -341,42 +298,35 @@ class AllDifferentAC(Propagator):
         for i in range(len(self.scope)):
             if i not in match and not augment(i, set()):
                 raise Inconsistency("alldifferent: no saturating matching")
-        return match
+        return owner
 
     def propagate(self) -> None:
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
             self._prune_fixed(sorted(self._stale_fixed().items()))
-        match = self._repair_matching()
-        doms = [var.values() for var in self.scope]
+        owner = self._repair_matching()
+        doms = [var.dom for var in self.scope]
 
-        # Residual digraph over variable nodes 0..n-1 and value nodes n..:
-        # matched edges var -> value, the others value -> var.
+        # reach[i] is the bitmask of the variables that variable i reaches,
+        # i included, where i -> j when D(j) holds match[i]; node n stands
+        # for every free value, so reach[n] is what the free values reach.
         n = len(doms)
-        node = {v: n + k for k, v in enumerate(sorted({v for vs in doms for v in vs}))}
-        succ: list[list[int]] = [[node[match[i]]] for i in range(n)]
-        succ += [[] for _ in node]
-        for i, vs in enumerate(doms):
+        reach = [1 << i for i in range(n + 1)]
+        for j, vs in enumerate(doms):
             for v in vs:
-                if v != match[i]:
-                    succ[node[v]].append(i)
+                reach[owner.get(v, n)] |= 1 << j
+        for k in range(n):  # Warshall closure
+            bit, via = 1 << k, reach[k]
+            for i in range(n + 1):
+                if reach[i] & bit:
+                    reach[i] |= via
 
-        comp = _tarjan_scc(succ)
-
-        # Every node reachable from a free value lies on an even alternating path.
-        reach = [False] * len(succ)
-        frontier = [node[v] for v in node.keys() - match.values()]
-        for x in frontier:
-            reach[x] = True
-        while frontier:
-            for nxt in succ[frontier.pop()]:
-                if not reach[nxt]:
-                    reach[nxt] = True
-                    frontier.append(nxt)
-
+        # v stays in D(i) iff it is free or matched (owner k) with k on an
+        # alternating cycle through i (k in reach[i]) or on an even
+        # alternating path from a free value (k in reach[n]).
         for i, vs in enumerate(doms):
+            kept = reach[i] | reach[n]
             for v in vs:
-                x = node[v]
-                if v != match[i] and comp[x] != comp[i] and not reach[x]:
+                if not kept >> owner.get(v, n) & 1:
                     self.scope[i].remove_value(v)
 
 

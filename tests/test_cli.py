@@ -25,6 +25,7 @@ from propcheck.cli import (
     outcome_to_doc,
     parse_recipe,
 )
+from propcheck import cli
 from propcheck.domains import INCONSISTENT, Filtered
 from propcheck.minisolver import RECIPES, BugId
 
@@ -476,6 +477,45 @@ class TestRecipeRegistry:
             needs = "yes" if kind.needs_total else "no"
             row = f"| `{name}` | `{kind.propagator.__name__}` | {needs} | {bugs} |"
             assert row in readme.splitlines()
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process; no call sees the calls before it."""
+
+    RUN = (
+        "run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", "sum-bc",
+        "--vars", "3", "--tests", "20", "--seed", "4",
+    )
+
+    def test_usage_error_does_not_change_the_next_call(self, capsys):
+        cli._shared_parser.cache_clear()
+        first = run_cli(capsys, *self.RUN)
+        assert first[0] == EXIT_PASS
+        assert run_cli(capsys, "run", "--mode", "bogus")[0] == EXIT_USAGE
+        assert run_cli(capsys, *self.RUN)[:2] == first[:2]
+
+    def test_seed_from_the_environment_is_read_on_each_call(self, capsys, monkeypatch):
+        seeds = []
+        for env in ("11", "12"):
+            monkeypatch.setenv("PROPCHECK_SEED", env)
+            seeds.append(run_json(capsys, *self.RUN[:-2])[1]["seed"])
+        assert seeds == ["11", "12"]
+
+    def test_handler_replaced_after_the_first_call_runs(self, capsys, monkeypatch):
+        # bench/tracing.py wraps the subcommand handlers by name.
+        assert run_cli(capsys, *self.RUN)[0] == EXIT_PASS
+        seen = []
+
+        def fake_run(args):
+            seen.append(args.seed)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_run", fake_run)
+        assert run_cli(capsys, *self.RUN)[0] == 7
+        assert seen == [4]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestDocuments:

@@ -91,6 +91,15 @@ class TestTrail:
         with pytest.raises(Inconsistency):
             x.remove_above(0)
 
+    def test_removing_an_absent_value_changes_nothing(self):
+        solver, scope = solver_with([[1, 3], [1, 2, 3]])
+        watcher = AllDifferentFC(scope)
+        solver.post(watcher)
+        dom = scope[0].dom
+        assert scope[0].remove_value(2) is False
+        assert scope[0].dom is dom
+        assert not watcher.queued
+
     def test_assign_outside_domain(self):
         _, (x,) = solver_with([[1, 2]])
         with pytest.raises(Inconsistency):
@@ -196,6 +205,39 @@ class TestAllDifferentAC:
         solver.schedule_all()
         solver.fixpoint()
         assert domains_of(scope) == [[1, 2, 3]] * 3
+
+    @pytest.mark.parametrize(
+        "doms,expected",
+        [
+            # Matching x0=1, x1=2; value 3 is free. No other domain holds 1,
+            # so x0 is on no cycle: it keeps 2 only through the even
+            # alternating path 3 - x1 - 2.
+            ([[1, 2], [2, 3]], [[1, 2], [2, 3]]),
+            # Matching x0=2, x1=3, x2=1 and no free value: x0 keeps 1 only
+            # through the alternating cycle x0 -> x1 -> x2 -> x0.
+            ([[1, 2], [2, 3], [1, 3]], [[1, 2], [2, 3], [1, 3]]),
+            # Matching x0=1, x1=2, x2=3; the free value 4 reaches only x2,
+            # and x2 reaches neither x0 nor x1, so x2 loses 1 and 2.
+            ([[1, 2], [1, 2], [1, 2, 3, 4]], [[1, 2], [1, 2], [3, 4]]),
+        ],
+        ids=["kept-through-a-free-value", "kept-through-a-cycle", "removed"],
+    )
+    def test_pruning_rule(self, doms, expected):
+        solver, scope = solver_with(doms)
+        solver.post(AllDifferentAC(scope))
+        assert domains_of(scope) == expected
+
+    @pytest.mark.parametrize("arity", [5, 6, 7])
+    @pytest.mark.parametrize("width", [-1, 0, 2], ids=["narrower", "equal", "wider"])
+    def test_matches_arc_filter_at_larger_arities(self, arity, width):
+        # `width` is the number of candidate values minus the arity.
+        cfg = GenConfig(n_vars=arity, value_min=0, value_max=arity + width - 1)
+        rng = SplitMix64(100 * arity + width)
+        ac = as_filter(all_different_ac(), arity)
+        checker = all_different(arity)
+        for _ in range(200):
+            inst = generate_instance(rng, cfg)
+            assert pointwise_equal(ac.apply(inst), arc_filter(checker, inst)), inst
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_arc_oracle(self, seed):
