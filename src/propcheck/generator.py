@@ -8,12 +8,17 @@ about.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .domains import INT32_MAX, INT32_MIN, Domain, Instance
 
 _MASK64 = (1 << 64) - 1
+
+# Generation costs one draw per candidate value, so a configuration may ask
+# for at most this many draws per instance.
+_MAX_DRAWS = 1_000_000
 
 
 class SplitMix64:
@@ -66,6 +71,11 @@ class GenConfig:
             raise ValueError("value_min must be <= value_max")
         if self.value_min < INT32_MIN or self.value_max > INT32_MAX:
             raise ValueError("value_min and value_max must be signed 32-bit integers")
+        if (self.value_max - self.value_min + 1) * self.n_vars > _MAX_DRAWS:
+            raise ValueError(
+                f"(value_max - value_min + 1) * n_vars must be at most {_MAX_DRAWS:,}"
+                " (one draw per candidate value)"
+            )
         if not (0.0 < self.density <= 1.0):
             raise ValueError("density must be in (0, 1]")
         if self.n_tests < 1:
@@ -78,15 +88,19 @@ def generate_instance(rng: SplitMix64, cfg: GenConfig) -> Instance:
     """Draw one instance: each candidate value enters with probability density.
 
     A domain that comes out empty is forced to a single uniformly drawn
-    value, so domains are never empty.
+    value, so domains are never empty. A value enters when
+    `next_float() < density`, tested on the integer draw: for `x = u >> 11`,
+    `x * 2**-53 < density` holds exactly when `x < ceil(density * 2**53)`.
     """
     span = cfg.value_max - cfg.value_min + 1
+    threshold = math.ceil(cfg.density * 2**53)
+    next_u64 = rng.next_u64
     doms = []
     for _ in range(cfg.n_vars):
         values = [
             v
             for v in range(cfg.value_min, cfg.value_max + 1)
-            if rng.next_float() < cfg.density
+            if next_u64() >> 11 < threshold
         ]
         if not values:
             values = [cfg.value_min + rng.next_below(span)]

@@ -13,12 +13,15 @@ All four work by explicit enumeration guarded by a tuple cap, so a "pass"
 can never hide an unexhausted search. Each value gets its own early-exit
 support search, and a search over more than `cap` tuples raises
 EnumerationCapExceeded. They are oracles for small instances, not
-production propagators.
+production propagators. A filter from `make_reference` may also answer
+from a table of the checker's solutions over a box it has paid for (see
+`_Memo`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -90,44 +93,153 @@ def _starting_at(vs: Sequence[int], x: int) -> Sequence[int]:
     return [*vs[k:], *vs[:k]]
 
 
+class _Memo:
+    """What one `make_reference` filter keeps across its calls.
+
+    Besides the witnesses, it keeps the hull box of the instances it has
+    filtered (only those whose hull product fits the cap) and the number
+    of tuples its failed support searches have rejected since the last
+    build. Once that number reaches the size of the box, and the box fits
+    the cap, one pass over the box builds a table of the checker's
+    solutions: `bits[k][v]` is an int whose bit `n` is set when the n-th
+    solution has value `v` at position `k` (the bitsets of Compact-Table,
+    Demeulenaere et al. 2016). An instance whose hull lies inside the
+    table's box is then filtered from the bitsets with no predicate call.
+    The build thus costs no more predicate calls than the failed searches
+    before it, and a checker whose searches rarely fail seldom pays it.
+    """
+
+    __slots__ = ("witness", "start", "stop", "size", "wasted", "table")
+
+    def __init__(self) -> None:
+        self.witness: Witnesses = {}
+        # The box, as the ranges `range(start[k], stop[k])`.
+        self.start: list[int] = []
+        self.stop: list[int] = []
+        self.size = 0
+        self.wasted = 0
+        self.table: Optional[tuple[list[int], list[int], list[dict[int, int]]]] = None
+
+    def lookup(self, start: list[int], stop: list[int], pred, cap: int):
+        """The bitsets of a table whose box holds the given hull, or None.
+
+        A hull outside the box grows it, and a table is built over the box
+        once the failed searches have paid for it.
+        """
+        t = self.table
+        if t is not None and _inside(start, stop, t[0], t[1]):
+            return t[2]
+        if not self.start:
+            self.start, self.stop = start, stop
+        elif _inside(start, stop, self.start, self.stop):
+            if self.wasted < self.size:
+                return None
+        else:
+            self.start = list(map(min, self.start, start))
+            self.stop = list(map(max, self.stop, stop))
+        self.size = math.prod(map(operator.sub, self.stop, self.start))
+        if self.wasted < self.size or self.size > cap:
+            return None
+        box = list(map(range, self.start, self.stop))
+        sols = list(filter(pred, itertools.product(*box)))
+        masks = [{v: bytearray((len(sols) + 7) // 8) for v in r} for r in box]
+        for n, sol in enumerate(sols):
+            byte, bit = n >> 3, 1 << (n & 7)
+            for m, v in zip(masks, sol):
+                m[v][byte] |= bit
+        bits = [{v: int.from_bytes(b, "little") for v, b in m.items()} for m in masks]
+        self.table = (self.start, self.stop, bits)
+        self.wasted = 0
+        return bits
+
+
+def _inside(start: list[int], stop: list[int], box_start: list[int], box_stop: list[int]) -> bool:
+    """Whether the ranges `range(start[k], stop[k])` lie inside the box's."""
+    return all(map(operator.le, box_start, start)) and all(map(operator.le, stop, box_stop))
+
+
+def _outcome(kept: list[list[int]]) -> FilterOutcome:
+    return Filtered(Instance([Domain._from_sorted(vs) for vs in kept]))
+
+
+def _from_table(
+    bits: list[dict[int, int]], kept: list[list[int]], intervals: bool, bounds_only: bool
+) -> FilterOutcome:
+    """The level's fixpoint read off the bitsets of a table of solutions.
+
+    `valid` holds the solutions inside the current lists (the kept values,
+    or their hulls for interval supports), and a value is supported iff
+    some valid solution holds it. The domain levels take one pass: a
+    value that loses its support is in no valid solution, so removing it
+    leaves `valid` as it was. The interval levels recompute `valid` until
+    no bound moves.
+    """
+    while True:
+        valid = -1
+        for b, vs in zip(bits, kept):
+            lst = range(vs[0], vs[-1] + 1) if intervals else vs
+            valid &= functools.reduce(operator.or_, map(b.__getitem__, lst))
+        if not valid:
+            return INCONSISTENT
+        moved = False
+        for i, (b, vs) in enumerate(zip(bits, kept)):
+            sup = [v for v in vs if b[v] & valid]
+            if not sup:
+                return INCONSISTENT
+            if bounds_only:
+                sup = vs[vs.index(sup[0]) : vs.index(sup[-1]) + 1]
+            moved = moved or sup[0] != vs[0] or sup[-1] != vs[-1]
+            kept[i] = sup
+        if not (moved and intervals):
+            return _outcome(kept)
+
+
 def _filter(
     checker: Checker,
     inst: Instance,
     level: ConsistencyLevel,
     cap: int,
-    witness: Optional[Witnesses] = None,
+    memo: Optional[_Memo] = None,
 ) -> FilterOutcome:
     """The fixpoint shared by all four levels.
 
     Each value gets an early-exit support search over the current value
     lists: the kept domain values, or their hulls for interval supports.
     Each list is rotated to start at its value in the last support found
-    in this call (phase saving). A support found is recorded in `witness`
-    as the witness of each of its components, and a later check reuses it
-    while every component is still inside the lists (residual supports,
-    Lecoutre & Hemery 2007). A value without support leaves its list at
-    once. With domain supports one pass suffices: every support found is a
-    solution, and a solution loses none of its values. Interval supports
-    can leave the hull when a bound moves, so the interval levels repeat
-    the pass until it removes nothing.
+    in this call (phase saving). A support found is recorded in the
+    witnesses as the witness of each of its components, and a later check
+    reuses it while every component is still inside the lists (residual
+    supports, Lecoutre & Hemery 2007). A value without support leaves its
+    list at once. With domain supports one pass suffices: every support
+    found is a solution, and a solution loses none of its values. Interval
+    supports can leave the hull when a bound moves, so the interval levels
+    repeat the pass until it removes nothing.
 
-    `witness` may hold the supports of earlier calls. It is used only when
-    the product of the hulls fits `cap`, so that no search can pass the cap
-    and whether a call raises never depends on earlier calls. Neither the
-    order nor the witnesses change an outcome: each fixpoint is unique.
+    `memo` may hold the witnesses, the box and the table of earlier calls.
+    It is used only when the product of the hulls fits `cap`, so that no
+    search can pass the cap and whether a call raises never depends on
+    earlier calls. Neither the order, the witnesses nor the table change an
+    outcome: each fixpoint is unique.
     """
     _check_arity(checker, inst)
     intervals, bounds_only = _LEVEL_FLAGS[level]
     kept = [list(d.values) for d in inst.domains]
     if not all(kept):
         return INCONSISTENT
+    pred = checker.predicate
+    start = [vs[0] for vs in kept]
+    stop = [vs[-1] + 1 for vs in kept]
+    if memo is None or math.prod(map(operator.sub, stop, start)) > cap:
+        memo = _Memo()
+    else:
+        bits = memo.lookup(start, stop, pred, cap)
+        if bits is not None:
+            return _from_table(bits, kept, intervals, bounds_only)
+    witness = memo.witness
     hull = lambda vs: range(vs[0], vs[-1] + 1)
     # The domain levels search the kept lists themselves, so a removal
     # shows in every later search.
-    lists: list[Sequence[int]] = [hull(vs) for vs in kept] if intervals else kept
-    pred = checker.predicate
-    if witness is None or math.prod(vs[-1] - vs[0] + 1 for vs in kept) > cap:
-        witness = {}
+    lists: list[Sequence[int]] = list(map(range, start, stop)) if intervals else kept
     last: Optional[Assignment] = None
 
     def supported(i: int, v: int) -> bool:
@@ -136,7 +248,8 @@ def _filter(
         if t is not None and all(map(operator.contains, lists, t)):
             return True
         space = [*lists[:i], (v,), *lists[i + 1 :]]
-        if math.prod(map(len, space)) > cap:
+        size = math.prod(map(len, space))
+        if size > cap:
             raise EnumerationCapExceeded(
                 f"support search for variable {i} needs more than {cap} tuples"
             )
@@ -144,6 +257,7 @@ def _filter(
             space = list(map(_starting_at, space, last))
         t = next(filter(pred, itertools.product(*space)), None)
         if t is None:
+            memo.wasted += size
             return False
         last = t
         for k, x in enumerate(t):
@@ -166,7 +280,7 @@ def _filter(
                             lists[i] = hull(vs)
                         removed = True
         if not (removed and intervals):
-            return Filtered(Instance([Domain._from_sorted(vs) for vs in kept]))
+            return _outcome(kept)
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:
@@ -200,11 +314,13 @@ def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT
 
     The filter keeps its witnesses across calls, at most one per (variable,
     value), so a support found on one instance answers for a later one
-    wherever it is still valid. Outcomes equal the level function's.
+    wherever it is still valid. Once its failed searches have rejected as
+    many tuples as the box of its instances holds, it answers instances
+    inside that box from a table of the checker's solutions (`_Memo`).
+    Outcomes equal the level function's.
     """
-    witness: Witnesses = {}
     return Filter(
         arity=checker.arity,
-        apply=lambda inst: _filter(checker, inst, level, cap, witness),
+        apply=functools.partial(_filter, checker, level=level, cap=cap, memo=_Memo()),
         name=f"{level.value}:{checker.name}",
     )

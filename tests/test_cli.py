@@ -142,6 +142,18 @@ class TestRun:
         assert code == EXIT_USAGE
         assert out == ""  # nothing but JSON ever goes to stdout
 
+    def test_value_range_past_the_draw_bound(self, capsys):
+        # 5 variables over the whole int32 range would take 5 * 2**32 draws
+        # per instance; the bound is 1,000,000.
+        code, out, err = run_cli(
+            capsys,
+            "run", "--mode", "check", "--trusted", "arc:alldiff", "--tested", "alldiff-ac",
+            "--min", "-2147483648", "--max", "2147483647",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1,000,000" in err
+
     def test_instance_past_the_cap_is_tested_when_each_search_fits(self, capsys):
         # The domain product is about 21**5 = 4.1 M, past the default cap of
         # 1,000,000, but each support search spans at most 21**4 tuples.
@@ -198,6 +210,7 @@ class TestDive:
             ("--max-depth", "0"),
             ("--min", "2147483648", "--max", "2147483648"),
             ("--min", "-2147483649", "--max", "-2147483649"),
+            ("--min", "0", "--max", "500000"),  # 2 * 500,001 draws per instance
         ],
     )
     def test_dive_flag_validation(self, capsys, extra):

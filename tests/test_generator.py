@@ -64,6 +64,18 @@ class TestGenConfig:
         GenConfig(value_min=-(2**31), value_max=-(2**31))
         GenConfig(value_min=2**31 - 1, value_max=2**31 - 1)
 
+    def test_draws_per_instance_are_bounded(self):
+        # One draw per candidate value: (max - min + 1) * n_vars draws.
+        GenConfig(n_vars=1, value_min=0, value_max=999_999)
+        GenConfig(n_vars=4, value_min=1, value_max=250_000)
+        for kwargs in (
+            {"n_vars": 1, "value_min": 0, "value_max": 1_000_000},
+            {"n_vars": 4, "value_min": 0, "value_max": 250_000},
+            {"n_vars": 5, "value_min": -(2**31), "value_max": 2**31 - 1},
+        ):
+            with pytest.raises(ValueError, match="1,000,000"):
+                GenConfig(**kwargs)
+
 
 class TestGenerateInstance:
     def test_forced_inclusion(self):
@@ -81,6 +93,30 @@ class TestGenerateInstance:
         cfg = GenConfig(n_vars=3, value_min=-2, value_max=2, density=0.5, seed=42)
         inst = generate_instance(SplitMix64(42), cfg)
         assert inst == Instance.of([[-1, 0, 1, 2], [-1, 1], [-2, -1]])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [GenConfig(), GenConfig(value_min=-20, value_max=20, density=0.3)],
+        ids=["defaults", "wide-sparse"],
+    )
+    def test_same_stream_as_the_float_rule(self, cfg):
+        # The generator as first written: one next_float() per candidate.
+        candidates = range(cfg.value_min, cfg.value_max + 1)
+
+        def by_floats(rng):
+            next_float, density = rng.next_float, cfg.density
+            doms = []
+            for _ in range(cfg.n_vars):
+                values = [v for v in candidates if next_float() < density]
+                if not values:
+                    values = [cfg.value_min + rng.next_below(len(candidates))]
+                doms.append(values)
+            return Instance.of(doms)
+
+        ours, oracle = SplitMix64(2026), SplitMix64(2026)
+        for _ in range(20_000):
+            assert generate_instance(ours, cfg) == by_floats(oracle)
+        assert ours.state == oracle.state
 
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=50)

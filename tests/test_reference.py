@@ -10,6 +10,7 @@ import pytest
 
 from propcheck import (
     INCONSISTENT,
+    DEFAULT_CAP,
     Checker,
     ConsistencyLevel,
     ContractViolationError,
@@ -430,5 +431,111 @@ def test_warm_witnesses_do_not_change_the_cap():
         warm = make_reference(level, checker, cap=5)
         for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
             assert warm.apply(inst) == Filtered(inst)
+        fresh = make_reference(level, checker, cap=5)
+        assert outcome_or_cap(warm, big) == outcome_or_cap(fresh, big), level
+
+
+# ---------------------------------------------------------------------------
+# Once its failed searches have paid for it, a make_reference filter answers
+# from a table of the checker's solutions over the box of its instances.
+
+
+def memo_of(f):
+    return f.apply.keywords["memo"]
+
+
+def with_table(level, checker, box, cap=DEFAULT_CAP):
+    """A make_reference filter whose table over `box` is built at once."""
+    f = make_reference(ConsistencyLevel(level), checker, cap=cap)
+    memo_of(f).wasted = 10**18  # as if failed searches had paid already
+    f.apply(Instance.of(box))
+    assert memo_of(f).table is not None
+    return f
+
+
+TABLE_CHECKERS = [
+    all_different(5),
+    sum_equals(0, 5),
+    sum_equals(6, 5),
+    sum_equals(-9, 5),
+    Checker(5, lambda a: (a[0] * a[1] - a[2] + a[3] * a[4]) % 5 == 1, "poly"),
+]
+BOX = [list(range(-3, 4))] * 5
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_table_answers_as_the_level_function_with_no_predicate_call(level):
+    rng = SplitMix64(31)
+    configs = (GenConfig(), GenConfig(density=0.25), GenConfig(density=0.9))
+    instances = [generate_instance(rng, cfg) for cfg in configs for _ in range(100)]
+    for checker in TABLE_CHECKERS:
+        counted, calls = counting(checker)
+        f = with_table(level, counted, BOX)
+        assert len(calls) == 7**5  # the build: one pass over the box
+        del calls[:]
+        for inst in instances:
+            assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (inst, checker.name)
+        assert calls == [], checker.name
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_instance_outside_the_table_is_searched(level):
+    small = [[-1, 0, 1]] * 5
+    rng = SplitMix64(41)
+    instances = [generate_instance(rng, GenConfig()) for _ in range(20)]
+    for checker in TABLE_CHECKERS:
+        for inst in instances:
+            counted, calls = counting(checker)
+            f = with_table(level, counted, small)
+            table = memo_of(f).table
+            del calls[:]
+            assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (inst, checker.name)
+            assert calls, (inst, checker.name)
+            assert memo_of(f).table is table  # one call does not pay for a rebuild
+
+
+def test_failed_searches_pay_for_the_table():
+    # sum=-9 has few solutions in [-3, 3]**5, so failed searches soon reject
+    # as many tuples as the box holds. A checker that accepts every tuple
+    # fails no search, so it never pays for a table.
+    rng = SplitMix64(43)
+    instances = [generate_instance(rng, GenConfig()) for _ in range(100)]
+    for level in ConsistencyLevel:
+        scarce = make_reference(level, sum_equals(-9, 5))
+        anything = make_reference(level, Checker(5, lambda a: True, "true"))
+        for inst in instances:
+            scarce.apply(inst)
+            anything.apply(inst)
+        assert memo_of(scarce).table is not None, level
+        assert memo_of(anything).table is None, level
+
+
+def test_no_table_when_the_box_passes_the_cap():
+    # Each hull product is 100, within the cap, but the box of both is
+    # 10 * 10 * 10 tuples.
+    low = Instance.of([range(0, 5), range(0, 5), range(0, 4)])
+    high = Instance.of([range(5, 10), range(5, 10), range(6, 10)])
+    checker = sum_equals(12, 3)
+    for level, func in LEVEL_FUNCS.items():
+        f = make_reference(ConsistencyLevel(level), checker, cap=100)
+        for inst in (low, high):
+            assert f.apply(inst) == func(checker, inst, cap=100)
+        memo_of(f).wasted = 10**18
+        for inst in (low, high):
+            assert f.apply(inst) == func(checker, inst, cap=100)
+        assert memo_of(f).table is None, level
+
+
+def test_warm_witnesses_and_a_table_do_not_change_the_cap():
+    # As in test_warm_witnesses_do_not_change_the_cap, but the warm filter
+    # also holds a table, over a box that fits the cap; `big`'s hull does
+    # not, so it is searched and raises as a fresh filter does.
+    checker = sum_equals(0, 2)
+    big = Instance.of([[-3, 3], [-3, 3]])
+    for level in ConsistencyLevel:
+        warm = with_table(level.value, checker, [[0, 1], [-1, 0]], cap=5)
+        for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
+            assert warm.apply(inst) == Filtered(inst)
+        assert memo_of(warm).table is not None
         fresh = make_reference(level, checker, cap=5)
         assert outcome_or_cap(warm, big) == outcome_or_cap(fresh, big), level
