@@ -102,7 +102,7 @@ def parse_reference_spec(spec: str, arity: int) -> Filter:
 
 
 def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
-    base, _, bug_part = spec.partition("+bug:")
+    base, bug_sep, bug_part = spec.partition("+bug:")
     kind = minisolver.RECIPES.get(base)
     if kind is None:
         raise UsageError(
@@ -115,7 +115,7 @@ def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
             f"recipe {base} needs a sum=<c> checker on the trusted side to know its target"
         )
     recipe = minisolver.Recipe(base, total)
-    if bug_part:
+    if bug_sep:
         name = bug_part if bug_part.startswith("BUG_") or bug_part == "NONE" else f"BUG_{bug_part}"
         try:
             bug = minisolver.BugId(name)

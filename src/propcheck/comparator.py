@@ -224,10 +224,14 @@ class AssertionBuilder:
             raise FilterAssertionError(f"filter_as({trusted.name or 'trusted'})", report)
         return self
 
-    def weaker_than(self, trusted: Filter) -> "AssertionBuilder":
+    def at_least_as_strong_as(self, trusted: Filter) -> "AssertionBuilder":
+        """Each tested outcome is included in the trusted one: the tested
+        filter prunes at least as much."""
         report = stronger(trusted, self._tested, self._cfg)
         if not report.passed:
-            raise FilterAssertionError(f"weaker_than({trusted.name or 'trusted'})", report)
+            raise FilterAssertionError(
+                f"at_least_as_strong_as({trusted.name or 'trusted'})", report
+            )
         return self
 
 

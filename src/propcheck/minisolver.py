@@ -118,6 +118,12 @@ class Propagator:
         self._seen_fixed: dict[int, int] = {}  # deliberately not restored on pop
 
     def propagate(self) -> None:
+        """One sweep of the filtering rule over the current domains.
+
+        It need not reach its own fixpoint: every removal re-queues the
+        propagators watching the variable, this one included, and the
+        solver's FIFO queue runs them until nothing changes.
+        """
         raise NotImplementedError
 
     def _stale_fixed(self) -> dict[int, int]:
@@ -127,15 +133,12 @@ class Propagator:
                 self._seen_fixed[i] = var.value()
         return self._seen_fixed
 
-    def _prune_fixed(self, pairs: list[tuple[int, int]], skip: Optional[int] = None) -> bool:
-        """Remove each fixed pair's value from the other variables except
-        `skip`; True iff a domain changed."""
-        changed = False
+    def _prune_fixed(self, pairs: list[tuple[int, int]], skip: Optional[int] = None) -> None:
+        """Remove each fixed pair's value from the other variables except `skip`."""
         for i, value in pairs:
             for j, var in enumerate(self.scope):
-                if j != i and j != skip and var.remove_value(value):
-                    changed = True
-        return changed
+                if j != i and j != skip:
+                    var.remove_value(value)
 
 
 class Solver:
@@ -212,30 +215,25 @@ class SumEqualsBC(Propagator):
     def propagate(self) -> None:
         stale = self.bug is BugId.BUG_TRAIL_NO_RESTORE
         reverse = self.bug is BugId.BUG_SUM_REVERSED_BOUND
-        changed = True
-        while changed:
-            changed = False
-            fixed = self._stale_fixed() if stale else {}
-            mins, maxs = [], []
-            for i, var in enumerate(self.scope):
-                if i in fixed:
-                    mins.append(fixed[i])
-                    maxs.append(fixed[i])
-                else:
-                    mins.append(var.min())
-                    maxs.append(var.max())
-            total_min, total_max = sum(mins), sum(maxs)
-            for i, var in enumerate(self.scope):
-                others_min = total_min - mins[i]
-                others_max = total_max - maxs[i]
-                lo = self.total - others_max
-                hi = self.total - others_min
-                if reverse:
-                    lo, hi = self.total - others_min, self.total - others_max
-                if var.remove_below(lo):
-                    changed = True
-                if var.remove_above(hi):
-                    changed = True
+        fixed = self._stale_fixed() if stale else {}
+        mins, maxs = [], []
+        for i, var in enumerate(self.scope):
+            if i in fixed:
+                mins.append(fixed[i])
+                maxs.append(fixed[i])
+            else:
+                mins.append(var.min())
+                maxs.append(var.max())
+        total_min, total_max = sum(mins), sum(maxs)
+        for i, var in enumerate(self.scope):
+            others_min = total_min - mins[i]
+            others_max = total_max - maxs[i]
+            lo = self.total - others_max
+            hi = self.total - others_min
+            if reverse:
+                lo, hi = self.total - others_min, self.total - others_max
+            var.remove_below(lo)
+            var.remove_above(hi)
 
 
 class AllDifferentFC(Propagator):
@@ -253,8 +251,7 @@ class AllDifferentFC(Propagator):
 
     def propagate(self) -> None:
         skip = len(self.scope) - 1 if self.bug is BugId.BUG_ALLDIFF_FC_SKIP_LAST else None
-        while self._prune_fixed(self._fixed_pairs(), skip):
-            pass
+        self._prune_fixed(self._fixed_pairs(), skip)
 
 
 class AllDifferentAC(Propagator):

@@ -103,8 +103,9 @@ class _Memo:
     the cap, one pass over the box builds a table of the checker's
     solutions: `bits[k][v]` is an int whose bit `n` is set when the n-th
     solution has value `v` at position `k` (the bitsets of Compact-Table,
-    Demeulenaere et al. 2016). An instance whose hull lies inside the
-    table's box is then filtered from the bitsets with no predicate call.
+    Demeulenaere et al. 2016). For an instance whose hull lies inside the
+    table's box, `_filter` then answers each support check from the
+    bitsets inside its own pass loop, with no predicate call.
     The build thus costs no more predicate calls than the failed searches
     before it, and a checker whose searches rarely fail seldom pays it.
     """
@@ -158,42 +159,6 @@ def _inside(start: list[int], stop: list[int], box_start: list[int], box_stop: l
     return all(map(operator.le, box_start, start)) and all(map(operator.le, stop, box_stop))
 
 
-def _outcome(kept: list[list[int]]) -> FilterOutcome:
-    return Filtered(Instance([Domain._from_sorted(vs) for vs in kept]))
-
-
-def _from_table(
-    bits: list[dict[int, int]], kept: list[list[int]], intervals: bool, bounds_only: bool
-) -> FilterOutcome:
-    """The level's fixpoint read off the bitsets of a table of solutions.
-
-    `valid` holds the solutions inside the current lists (the kept values,
-    or their hulls for interval supports), and a value is supported iff
-    some valid solution holds it. The domain levels take one pass: a
-    value that loses its support is in no valid solution, so removing it
-    leaves `valid` as it was. The interval levels recompute `valid` until
-    no bound moves.
-    """
-    while True:
-        valid = -1
-        for b, vs in zip(bits, kept):
-            lst = range(vs[0], vs[-1] + 1) if intervals else vs
-            valid &= functools.reduce(operator.or_, map(b.__getitem__, lst))
-        if not valid:
-            return INCONSISTENT
-        moved = False
-        for i, (b, vs) in enumerate(zip(bits, kept)):
-            sup = [v for v in vs if b[v] & valid]
-            if not sup:
-                return INCONSISTENT
-            if bounds_only:
-                sup = vs[vs.index(sup[0]) : vs.index(sup[-1]) + 1]
-            moved = moved or sup[0] != vs[0] or sup[-1] != vs[-1]
-            kept[i] = sup
-        if not (moved and intervals):
-            return _outcome(kept)
-
-
 def _filter(
     checker: Checker,
     inst: Instance,
@@ -213,13 +178,19 @@ def _filter(
     list at once. With domain supports one pass suffices: every support
     found is a solution, and a solution loses none of its values. Interval
     supports can leave the hull when a bound moves, so the interval levels
-    repeat the pass until it removes nothing.
+    repeat the pass until no bound moves.
 
     `memo` may hold the witnesses, the box and the table of earlier calls.
     It is used only when the product of the hulls fits `cap`, so that no
     search can pass the cap and whether a call raises never depends on
-    earlier calls. Neither the order, the witnesses nor the table change an
-    outcome: each fixpoint is unique.
+    earlier calls. When `memo` has a table over the hulls, each pass
+    starts by computing `valid`, the solutions inside the current lists,
+    and a value is supported iff some valid solution holds it; no witness
+    or search is used. A removal within the pass leaves `valid` stale but
+    safe: on the domain levels the value removed was in no valid solution,
+    and on the interval levels `valid` goes stale only when a bound moves,
+    which repeats the pass. Neither the order, the witnesses nor the table
+    change an outcome: each fixpoint is unique.
     """
     _check_arity(checker, inst)
     intervals, bounds_only = _LEVEL_FLAGS[level]
@@ -231,19 +202,21 @@ def _filter(
     stop = [vs[-1] + 1 for vs in kept]
     if memo is None or math.prod(map(operator.sub, stop, start)) > cap:
         memo = _Memo()
+        bits = None
     else:
         bits = memo.lookup(start, stop, pred, cap)
-        if bits is not None:
-            return _from_table(bits, kept, intervals, bounds_only)
     witness = memo.witness
     hull = lambda vs: range(vs[0], vs[-1] + 1)
     # The domain levels search the kept lists themselves, so a removal
     # shows in every later search.
     lists: list[Sequence[int]] = list(map(range, start, stop)) if intervals else kept
     last: Optional[Assignment] = None
+    valid = 0
 
     def supported(i: int, v: int) -> bool:
         nonlocal last
+        if bits is not None:
+            return bool(bits[i][v] & valid)
         t = witness.get((i, v))
         if t is not None and all(map(operator.contains, lists, t)):
             return True
@@ -265,7 +238,11 @@ def _filter(
         return True
 
     while True:
-        removed = False
+        if bits is not None:
+            valid = -1
+            for b, lst in zip(bits, lists):
+                valid &= functools.reduce(operator.or_, map(b.__getitem__, lst))
+        moved = False
         for i, vs in enumerate(kept):
             for reverse in (False, True) if bounds_only else (False,):
                 for v in sorted(vs, reverse=reverse):
@@ -276,11 +253,11 @@ def _filter(
                         vs.remove(v)
                         if not vs:
                             return INCONSISTENT
-                        if intervals:
+                        if intervals and lists[i] != hull(vs):
                             lists[i] = hull(vs)
-                        removed = True
-        if not (removed and intervals):
-            return _outcome(kept)
+                            moved = True
+        if not moved:
+            return Filtered(Instance([Domain._from_sorted(vs) for vs in kept]))
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:

@@ -135,6 +135,8 @@ class TestRun:
              "--vars", "2", "--min", "2147483648", "--max", "2147483648"),
             ("run", "--mode", "check", "--trusted", "arc:alldiff", "--tested", "alldiff-ac",
              "--vars", "2", "--min", "-2147483649", "--max", "-2147483649"),
+            ("run", "--mode", "check", "--trusted", "boundz:sum=0",
+             "--tested", "sum-bc+bug:"),  # an empty bug id
         ],
     )
     def test_usage_errors(self, capsys, argv):

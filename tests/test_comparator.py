@@ -17,7 +17,9 @@ from propcheck import (
     Instance,
     SplitMix64,
     all_different,
+    all_different_fc,
     arc_filter,
+    as_filter,
     assert_that,
     check,
     generate_instance,
@@ -179,14 +181,23 @@ class TestAssertions:
             make_reference(ConsistencyLevel.ARC, all_different(3))
         )
 
-    def test_weaker_than_reflexive(self):
+    def test_at_least_as_strong_as_reflexive(self):
         f = make_reference(ConsistencyLevel.ARC, all_different(3))
-        assert_that(f, CFG3).weaker_than(f)
+        assert_that(f, CFG3).at_least_as_strong_as(f)
+
+    def test_at_least_as_strong_as_reads_forwards(self):
+        # Forward checking prunes less than arc consistency, not more.
+        arc = make_reference(ConsistencyLevel.ARC, all_different(5))
+        fc = as_filter(all_different_fc(), 5)
+        assert_that(arc).at_least_as_strong_as(fc)
+        with pytest.raises(FilterAssertionError) as exc:
+            assert_that(fc).at_least_as_strong_as(arc)
+        assert str(exc.value).startswith("at_least_as_strong_as(arc:alldiff) failed")
 
     def test_chain_conjunction(self):
         arc = make_reference(ConsistencyLevel.ARC, all_different(3))
         boundz = make_reference(ConsistencyLevel.BOUND_Z, all_different(3))
-        assert_that(arc, CFG3).filter_as(arc).weaker_than(boundz)
+        assert_that(arc, CFG3).filter_as(arc).at_least_as_strong_as(boundz)
 
     def test_failure_carries_report(self):
         arc = make_reference(ConsistencyLevel.ARC, all_different(3))
