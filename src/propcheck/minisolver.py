@@ -2,11 +2,11 @@
 
 It provides realistic stateful propagators (bounds-consistent sum,
 forward-checking and matching-based alldifferent) plus a small corpus of
-seeded bugs reachable only through an explicit `with_bug` selector. Each
-variable holds one immutable `Domain`; a push saves the domains of all
-variables and a pop writes them back, so backtracking restores domains
-exactly with no undo log and no cache. Propagators run on a FIFO queue
-until fixpoint.
+seeded bugs reachable only through an explicit `with_bug` selector. A
+variable is an index into the solver's list of immutable `Domain`s; a push
+saves a copy of that list and a pop puts it back, so backtracking restores
+domains exactly with no undo log and no cache. Propagators run on a FIFO
+queue until fixpoint.
 """
 
 from __future__ import annotations
@@ -26,74 +26,11 @@ from .domains import (
     FilterOutcome,
     Instance,
 )
-from .stateful import BranchOp, FilterWithState, Pop, Push
+from .stateful import BranchOp, FilterWithState, Pop, Push, restricted
 
 
 class Inconsistency(Exception):
     """Raised inside the solver when a domain empties."""
-
-
-class IntVar:
-    """An integer variable over one immutable `Domain`.
-
-    Every removal stores a new, smaller domain; the solver saves and
-    restores the domains of all its variables on push and pop.
-    """
-
-    __slots__ = ("vid", "dom", "_solver", "watchers")
-
-    def __init__(self, solver: "Solver", vid: int, dom: Domain) -> None:
-        if not dom:
-            raise ValueError("a solver variable needs a non-empty domain")
-        self.vid = vid
-        self.dom = dom
-        self._solver = solver
-        self.watchers: list["Propagator"] = []
-
-    def values(self) -> tuple[int, ...]:
-        return self.dom
-
-    def is_fixed(self) -> bool:
-        return len(self.dom) == 1
-
-    def value(self) -> int:
-        if len(self.dom) != 1:
-            raise ValueError("variable is not fixed")
-        return self.dom[0]
-
-    def min(self) -> int:
-        return self.dom[0]
-
-    def max(self) -> int:
-        return self.dom[-1]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.dom
-
-    def _keep(self, kept: Sequence[int]) -> bool:
-        """Narrow the domain to `kept`, a sorted sub-sequence of it; True iff
-        a value was removed. An emptying removal leaves the domain as it was."""
-        if len(kept) == len(self.dom):
-            return False
-        if not kept:
-            raise Inconsistency(f"domain of x{self.vid} emptied")
-        self.dom = Domain._from_sorted(kept)
-        self._solver.on_change(self)
-        return True
-
-    def remove_value(self, v: int) -> bool:
-        return v in self.dom and self._keep(self.dom.remove(v))
-
-    def remove_below(self, bound: int) -> bool:
-        return self._keep(self.dom[bisect_left(self.dom, bound) :])
-
-    def remove_above(self, bound: int) -> bool:
-        return self._keep(self.dom[: bisect_right(self.dom, bound)])
-
-    def assign(self, v: int) -> bool:
-        if v not in self.dom:
-            raise Inconsistency(f"x{self.vid} cannot take value {v}")
-        return self._keep((v,))
 
 
 class BugId(enum.Enum):
@@ -104,21 +41,23 @@ class BugId(enum.Enum):
 
 
 class Propagator:
-    """Contracting filtering procedure over a scope of solver variables.
+    """Contracting filtering procedure over a scope of solver variables,
+    given as their indices.
 
     With BUG_TRAIL_NO_RESTORE, a propagator remembers every fixed
-    (variable index, value) pair it has seen in a cache that a pop does not
+    (scope position, value) pair it has seen in a cache that a pop does not
     restore, so the cache goes stale after a pop.
     """
 
-    def __init__(self, scope: list[IntVar], bug: BugId = BugId.NONE) -> None:
+    def __init__(self, scope: list[int], bug: BugId = BugId.NONE) -> None:
         self.scope = scope
         self.bug = bug
         self.queued = False
         self._seen_fixed: dict[int, int] = {}  # deliberately not restored on pop
 
-    def propagate(self) -> None:
-        """One sweep of the filtering rule over the current domains.
+    def propagate(self, solver: "Solver") -> None:
+        """One sweep of the filtering rule over `solver.doms`, removing
+        values through the solver.
 
         It need not reach its own fixpoint: every removal re-queues the
         propagators watching the variable, this one included, and the
@@ -126,40 +65,68 @@ class Propagator:
         """
         raise NotImplementedError
 
-    def _stale_fixed(self) -> dict[int, int]:
+    def _stale_fixed(self, doms: list[Domain]) -> dict[int, int]:
         """Add the variables fixed now to the unrestored cache and return it."""
-        for i, var in enumerate(self.scope):
-            if i not in self._seen_fixed and var.is_fixed():
-                self._seen_fixed[i] = var.value()
+        for i, x in enumerate(self.scope):
+            if i not in self._seen_fixed and len(doms[x]) == 1:
+                self._seen_fixed[i] = doms[x][0]
         return self._seen_fixed
 
-    def _prune_fixed(self, pairs: list[tuple[int, int]], skip: Optional[int] = None) -> None:
+    def _prune_fixed(
+        self, solver: "Solver", pairs: list[tuple[int, int]], skip: Optional[int] = None
+    ) -> None:
         """Remove each fixed pair's value from the other variables except `skip`."""
         for i, value in pairs:
-            for j, var in enumerate(self.scope):
+            for j, x in enumerate(self.scope):
                 if j != i and j != skip:
-                    var.remove_value(value)
+                    solver.remove_value(x, value)
 
 
 class Solver:
-    """Single-owner micro-solver: variables, saved domains per open push,
-    FIFO propagation queue."""
+    """Single-owner micro-solver. A variable is an index into `doms`, the
+    current domain of each variable, and into `watchers`, the propagators
+    over it. A push saves a copy of `doms` and a pop puts it back; the
+    propagators run on a FIFO queue until fixpoint."""
 
     def __init__(self) -> None:
-        self.variables: list[IntVar] = []
+        self.doms: list[Domain] = []
+        self.watchers: list[list[Propagator]] = []
         self.propagators: list[Propagator] = []
         self._queue: deque[Propagator] = deque()
         self._saved: list[list[Domain]] = []  # the domains at each open push
 
-    def int_var(self, values: Iterable[int]) -> IntVar:
+    def int_var(self, values: Iterable[int]) -> int:
         dom = values if isinstance(values, Domain) else Domain(values)
-        var = IntVar(self, len(self.variables), dom)
-        self.variables.append(var)
-        return var
+        if not dom:
+            raise ValueError("a solver variable needs a non-empty domain")
+        self.doms.append(dom)
+        self.watchers.append([])
+        return len(self.doms) - 1
 
-    def on_change(self, var: IntVar) -> None:
-        for p in var.watchers:
+    def keep(self, x: int, kept: Sequence[int]) -> bool:
+        """Narrow D(x) to `kept`, a sorted sub-sequence of it; True iff a
+        value was removed. An emptying removal raises `Inconsistency` and
+        leaves D(x) as it was."""
+        if len(kept) == len(self.doms[x]):
+            return False
+        if not kept:
+            raise Inconsistency(f"domain of x{x} emptied")
+        self.doms[x] = Domain._from_sorted(kept)
+        for p in self.watchers[x]:
             self._schedule(p)
+        return True
+
+    def remove_value(self, x: int, v: int) -> bool:
+        dom = self.doms[x]
+        return v in dom and self.keep(x, dom.remove(v))
+
+    def remove_below(self, x: int, bound: int) -> bool:
+        dom = self.doms[x]
+        return self.keep(x, dom[bisect_left(dom, bound) :])
+
+    def remove_above(self, x: int, bound: int) -> bool:
+        dom = self.doms[x]
+        return self.keep(x, dom[: bisect_right(dom, bound)])
 
     def _schedule(self, p: Propagator) -> None:
         if not p.queued:
@@ -172,8 +139,8 @@ class Solver:
 
     def post(self, p: Propagator) -> None:
         self.propagators.append(p)
-        for var in p.scope:
-            var.watchers.append(p)
+        for x in p.scope:
+            self.watchers[x].append(p)
         self._schedule(p)
         self.fixpoint()
 
@@ -182,7 +149,7 @@ class Solver:
             while self._queue:
                 p = self._queue.popleft()
                 p.queued = False
-                p.propagate()
+                p.propagate(self)
         except Inconsistency:
             while self._queue:
                 self._queue.pop().queued = False
@@ -192,13 +159,12 @@ class Solver:
         return len(self._saved)
 
     def push_state(self) -> None:
-        self._saved.append([var.dom for var in self.variables])
+        self._saved.append(self.doms.copy())
 
     def pop_state(self) -> None:
         if not self._saved:
             raise ContractViolationError("pop_state with no open frame")
-        for var, dom in zip(self.variables, self._saved.pop()):
-            var.dom = dom
+        self.doms = self._saved.pop()
 
 
 class SumEqualsBC(Propagator):
@@ -208,32 +174,33 @@ class SumEqualsBC(Propagator):
     the bounds sums, also after a pop.
     """
 
-    def __init__(self, total: int, scope: list[IntVar], bug: BugId = BugId.NONE) -> None:
+    def __init__(self, total: int, scope: list[int], bug: BugId = BugId.NONE) -> None:
         super().__init__(scope, bug)
         self.total = total
 
-    def propagate(self) -> None:
+    def propagate(self, solver: Solver) -> None:
         stale = self.bug is BugId.BUG_TRAIL_NO_RESTORE
         reverse = self.bug is BugId.BUG_SUM_REVERSED_BOUND
-        fixed = self._stale_fixed() if stale else {}
+        doms = solver.doms
+        fixed = self._stale_fixed(doms) if stale else {}
         mins, maxs = [], []
-        for i, var in enumerate(self.scope):
+        for i, x in enumerate(self.scope):
             if i in fixed:
                 mins.append(fixed[i])
                 maxs.append(fixed[i])
             else:
-                mins.append(var.min())
-                maxs.append(var.max())
+                mins.append(doms[x][0])
+                maxs.append(doms[x][-1])
         total_min, total_max = sum(mins), sum(maxs)
-        for i, var in enumerate(self.scope):
+        for i, x in enumerate(self.scope):
             others_min = total_min - mins[i]
             others_max = total_max - maxs[i]
             lo = self.total - others_max
             hi = self.total - others_min
             if reverse:
                 lo, hi = self.total - others_min, self.total - others_max
-            var.remove_below(lo)
-            var.remove_above(hi)
+            solver.remove_below(x, lo)
+            solver.remove_above(x, hi)
 
 
 class AllDifferentFC(Propagator):
@@ -244,14 +211,14 @@ class AllDifferentFC(Propagator):
     BUG_TRAIL_NO_RESTORE keeps pruning the cached fixed pairs after a pop.
     """
 
-    def _fixed_pairs(self) -> list[tuple[int, int]]:
+    def _fixed_pairs(self, doms: list[Domain]) -> list[tuple[int, int]]:
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
-            return sorted(self._stale_fixed().items())
-        return [(i, v.value()) for i, v in enumerate(self.scope) if v.is_fixed()]
+            return sorted(self._stale_fixed(doms).items())
+        return [(i, doms[x][0]) for i, x in enumerate(self.scope) if len(doms[x]) == 1]
 
-    def propagate(self) -> None:
+    def propagate(self, solver: Solver) -> None:
         skip = len(self.scope) - 1 if self.bug is BugId.BUG_ALLDIFF_FC_SKIP_LAST else None
-        self._prune_fixed(self._fixed_pairs(), skip)
+        self._prune_fixed(solver, self._fixed_pairs(solver.doms), skip)
 
 
 class AllDifferentAC(Propagator):
@@ -267,21 +234,21 @@ class AllDifferentAC(Propagator):
     the other domains, which is sound during a descent but wrong after a pop.
     """
 
-    def __init__(self, scope: list[IntVar], bug: BugId = BugId.NONE) -> None:
+    def __init__(self, scope: list[int], bug: BugId = BugId.NONE) -> None:
         super().__init__(scope, bug)
-        self._match: dict[int, int] = {}  # var index -> matched value
+        self._match: dict[int, int] = {}  # scope position -> matched value
 
-    def _repair_matching(self) -> dict[int, int]:
-        """Repair the kept matching so it covers every variable; return its
-        inverse, the variable index of each matched value."""
+    def _repair_matching(self, doms: list[Domain]) -> dict[int, int]:
+        """Repair the kept matching so it covers every domain of `doms`, the
+        scope's; return its inverse, the scope position of each matched value."""
         match = self._match
-        for i, var in list(match.items()):
-            if match[i] not in self.scope[i]:
+        for i in list(match):
+            if match[i] not in doms[i]:
                 del match[i]
         owner = {v: i for i, v in match.items()}
 
         def augment(i: int, visited: set[int]) -> bool:
-            for v in self.scope[i].values():
+            for v in doms[i]:
                 if v in visited:
                     continue
                 visited.add(v)
@@ -292,16 +259,16 @@ class AllDifferentAC(Propagator):
                     return True
             return False
 
-        for i in range(len(self.scope)):
+        for i in range(len(doms)):
             if i not in match and not augment(i, set()):
                 raise Inconsistency("alldifferent: no saturating matching")
         return owner
 
-    def propagate(self) -> None:
+    def propagate(self, solver: Solver) -> None:
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
-            self._prune_fixed(sorted(self._stale_fixed().items()))
-        owner = self._repair_matching()
-        doms = [var.dom for var in self.scope]
+            self._prune_fixed(solver, sorted(self._stale_fixed(solver.doms).items()))
+        doms = [solver.doms[x] for x in self.scope]
+        owner = self._repair_matching(doms)
 
         # reach[i] is the bitmask of the variables that variable i reaches,
         # i included, where i -> j when D(j) holds match[i]; node n stands
@@ -320,11 +287,9 @@ class AllDifferentAC(Propagator):
         # v stays in D(i) iff it is free or matched (owner k) with k on an
         # alternating cycle through i (k in reach[i]) or on an even
         # alternating path from a free value (k in reach[n]).
-        for i, vs in enumerate(doms):
-            kept = reach[i] | reach[n]
-            for v in vs:
-                if not kept >> owner.get(v, n) & 1:
-                    self.scope[i].remove_value(v)
+        for x, vs, reached in zip(self.scope, doms, reach):
+            kept = reached | reach[n]
+            solver.keep(x, [v for v in vs if kept >> owner.get(v, n) & 1])
 
 
 class RecipeKind(NamedTuple):
@@ -360,7 +325,7 @@ class Recipe:
             return self.name
         return f"{self.name}+bug:{self.bug.value}"
 
-    def build(self, solver: Solver, scope: list[IntVar]) -> None:
+    def build(self, solver: Solver, scope: list[int]) -> None:
         kind = RECIPES[self.kind]
         args = (self.total, scope) if kind.needs_total else (scope,)
         solver.post(kind.propagator(*args, self.bug))
@@ -406,7 +371,7 @@ def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:
 def _outcome(solver: Optional[Solver]) -> FilterOutcome:
     if solver is None:
         return INCONSISTENT
-    return Filtered(Instance(v.dom for v in solver.variables))
+    return Filtered(Instance(solver.doms))
 
 
 def as_filter(recipe: Recipe, arity: int) -> Filter:
@@ -419,9 +384,10 @@ def as_filter(recipe: Recipe, arity: int) -> Filter:
 
 
 class SolverBackedStateful(FilterWithState):
-    """FilterWithState over a fresh solver; branch ops map to solver
-    push/pop and domain restrictions, each followed by a propagation
-    fixpoint."""
+    """FilterWithState over a fresh solver. A push or pop is the solver's;
+    a restriction keeps the values that `stateful.restricted` keeps, the
+    rule the snapshot adapter applies too. A propagation fixpoint follows
+    each restriction and each pop."""
 
     def __init__(self, recipe: Recipe, arity: int) -> None:
         self._recipe = recipe
@@ -458,18 +424,8 @@ class SolverBackedStateful(FilterWithState):
                 except Inconsistency:
                     self._failed_at = solver.depth()
         elif self._failed_at is None:
-            if not 0 <= op.index < len(solver.variables):
-                raise ContractViolationError(f"restriction index {op.index} out of range")
-            var = solver.variables[op.index]
             try:
-                if op.relation == "=":
-                    var.assign(op.constant)
-                elif op.relation == "!=":
-                    var.remove_value(op.constant)
-                elif op.relation == "<":
-                    var.remove_above(op.constant - 1)
-                else:
-                    var.remove_below(op.constant + 1)
+                solver.keep(op.index, restricted(solver.doms, op))
                 solver.fixpoint()
             except Inconsistency:
                 self._failed_at = solver.depth()

@@ -62,12 +62,11 @@ PUSH = Push()
 POP = Pop()
 
 
-def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
-    """Restrict one domain; Inconsistent iff it empties."""
-    if not (0 <= r.index < inst.arity):
+def restricted(domains: Sequence[Domain], r: RestrictDomain) -> Domain:
+    """The domain at `r.index` cut to the values that satisfy `r`."""
+    if not 0 <= r.index < len(domains):
         raise ContractViolationError(f"restriction index {r.index} out of range")
-    d = inst.domains[r.index]
-    c = r.constant
+    d, c = domains[r.index], r.constant
     if r.relation == "=":
         kept = [v for v in d if v == c]
     elif r.relation == "!=":
@@ -76,10 +75,16 @@ def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
         kept = [v for v in d if v < c]
     else:
         kept = [v for v in d if v > c]
+    return Domain._from_sorted(kept)
+
+
+def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
+    """Restrict one domain; Inconsistent iff it empties."""
+    kept = restricted(inst.domains, r)
     if not kept:
         return INCONSISTENT
     doms = list(inst.domains)
-    doms[r.index] = Domain._from_sorted(kept)
+    doms[r.index] = kept
     return Filtered(Instance(doms))
 
 

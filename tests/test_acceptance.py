@@ -16,6 +16,7 @@ from propcheck import (
     BugId,
     ConsistencyLevel,
     DiveConfig,
+    Domain,
     Filtered,
     FilterWithState,
     GenConfig,
@@ -68,10 +69,10 @@ def nonempty_subsets(values):
 
 
 def exhaustive_instances(universe, max_arity, arities=None):
-    subs = nonempty_subsets(universe)
+    subs = [Domain(vs) for vs in nonempty_subsets(universe)]
     for arity in arities or range(1, max_arity + 1):
         for doms in itertools.product(subs, repeat=arity):
-            yield Instance.of(list(doms))
+            yield Instance(doms)
 
 
 def test_criterion_1_arc_filter_equals_brute_force(announce):
@@ -177,9 +178,9 @@ def test_criterion_4_minisolver_equals_references(announce):
             n_ac += 1
 
     universe = list(range(-3, 4))
-    subs3 = nonempty_subsets(universe)
+    subs3 = [Domain(vs) for vs in nonempty_subsets(universe)]
     intervals = [
-        list(range(lo, hi + 1))
+        Domain(range(lo, hi + 1))
         for lo in universe
         for hi in universe
         if lo <= hi
@@ -200,13 +201,13 @@ def test_criterion_4_minisolver_equals_references(announce):
                 ok = False
             n_sum += 1
         for doms in itertools.product(intervals, repeat=3):
-            if not agree(Instance.of(list(doms))):
+            if not agree(Instance(doms)):
                 ok = False
             n_sum += 1
         rng = SplitMix64(total + 1)
         for _ in range(30_000):
             doms = [subs3[rng.next_below(len(subs3))] for _ in range(3)]
-            if not agree(Instance.of(doms)):
+            if not agree(Instance(doms)):
                 ok = False
             n_sum += 1
 

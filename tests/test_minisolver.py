@@ -41,6 +41,7 @@ from propcheck import (
     sum_equals_bc,
     with_bug,
 )
+from propcheck.stateful import restricted
 
 
 def solver_with(values_lists):
@@ -49,37 +50,37 @@ def solver_with(values_lists):
     return solver, scope
 
 
-def domains_of(scope):
-    return [list(v.values()) for v in scope]
-
-
-def assert_reads(var, expected):
-    """Every read of `var` agrees with the value list `expected`."""
-    assert var.values() == tuple(expected)
-    assert (var.min(), var.max()) == (expected[0], expected[-1])
-    assert var.is_fixed() == (len(expected) == 1)
+def domains_of(solver, scope):
+    return [list(solver.doms[x]) for x in scope]
 
 
 class TestTrail:
+    def test_variables_are_indices(self):
+        solver, scope = solver_with([[2, 1], [3]])
+        assert scope == [0, 1]
+        assert solver.doms == [(1, 2), (3,)]
+        with pytest.raises(ValueError):
+            solver.int_var([])
+
     def test_push_remove_pop_restores_exactly(self):
         solver, (x,) = solver_with([[1, 2, 3]])
         solver.push_state()
-        x.remove_value(2)
-        assert x.values() == (1, 3)
+        solver.remove_value(x, 2)
+        assert solver.doms[x] == (1, 3)
         solver.pop_state()
-        assert x.values() == (1, 2, 3)
+        assert solver.doms[x] == (1, 2, 3)
 
     def test_nested_frames(self):
         solver, (x,) = solver_with([[1, 2, 3, 4]])
         solver.push_state()
-        x.remove_above(3)
+        solver.remove_above(x, 3)
         solver.push_state()
-        x.remove_below(3)
-        assert x.values() == (3,)
+        solver.remove_below(x, 3)
+        assert solver.doms[x] == (3,)
         solver.pop_state()
-        assert x.values() == (1, 2, 3)
+        assert solver.doms[x] == (1, 2, 3)
         solver.pop_state()
-        assert x.values() == (1, 2, 3, 4)
+        assert solver.doms[x] == (1, 2, 3, 4)
 
     def test_pop_with_no_frame_rejected(self):
         solver, _ = solver_with([[1]])
@@ -87,70 +88,75 @@ class TestTrail:
             solver.pop_state()
 
     def test_empty_domain_raises_inconsistency(self):
-        _, (x,) = solver_with([[1, 2]])
+        solver, (x,) = solver_with([[1, 2]])
         with pytest.raises(Inconsistency):
-            x.remove_above(0)
+            solver.remove_above(x, 0)
+        assert solver.doms[x] == (1, 2)
 
     def test_removing_an_absent_value_changes_nothing(self):
         solver, scope = solver_with([[1, 3], [1, 2, 3]])
         watcher = AllDifferentFC(scope)
         solver.post(watcher)
-        dom = scope[0].dom
-        assert scope[0].remove_value(2) is False
-        assert scope[0].dom is dom
+        dom = solver.doms[0]
+        assert solver.remove_value(0, 2) is False
+        assert solver.doms[0] is dom
         assert not watcher.queued
 
     def test_assign_outside_domain(self):
-        _, (x,) = solver_with([[1, 2]])
+        solver, (x,) = solver_with([[1, 2]])
         with pytest.raises(Inconsistency):
-            x.assign(5)
+            solver.keep(x, restricted(solver.doms, RestrictDomain(x, "=", 5)))
 
     def test_reads_follow_nested_frames(self):
-        # Every removal stores a new domain and every pop writes the saved
-        # one back; each must show in the next read.
+        # Every removal stores a new domain and every pop puts the saved
+        # list back; each must show in the next read.
         solver, (x,) = solver_with([[5, 1, 4, 2, 3]])
-        assert_reads(x, [1, 2, 3, 4, 5])
+        assert solver.doms[x] == (1, 2, 3, 4, 5)
         solver.push_state()
-        assert x.remove_below(2)
-        assert not x.remove_below(2) and not x.remove_above(5)
-        assert_reads(x, [2, 3, 4, 5])
+        assert solver.remove_below(x, 2)
+        assert not solver.remove_below(x, 2) and not solver.remove_above(x, 5)
+        assert solver.doms[x] == (2, 3, 4, 5)
         solver.push_state()
-        assert x.remove_above(4)
-        assert_reads(x, [2, 3, 4])
+        assert solver.remove_above(x, 4)
+        assert solver.doms[x] == (2, 3, 4)
         solver.push_state()
-        assert x.assign(3)
-        assert_reads(x, [3])
+        assert solver.keep(x, (3,))
+        assert solver.doms[x] == (3,)
         solver.pop_state()
-        assert_reads(x, [2, 3, 4])
+        assert solver.doms[x] == (2, 3, 4)
         solver.pop_state()
-        assert_reads(x, [2, 3, 4, 5])
+        assert solver.doms[x] == (2, 3, 4, 5)
         solver.pop_state()
-        assert_reads(x, [1, 2, 3, 4, 5])
+        assert solver.doms[x] == (1, 2, 3, 4, 5)
 
     @pytest.mark.parametrize("empty", ["remove_below", "remove_above", "assign"])
     def test_reads_after_an_emptying_removal_and_pop(self, empty):
         solver, (x, y) = solver_with([[1, 2, 3], [7, 8]])
         solver.push_state()
-        y.remove_value(8)
-        assert_reads(x, [1, 2, 3])
+        solver.remove_value(y, 8)
+        assert solver.doms[x] == (1, 2, 3)
         solver.push_state()
-        x.remove_value(2)
-        assert_reads(x, [1, 3])
-        bound = {"remove_below": 4, "remove_above": 0, "assign": 2}[empty]
+        solver.remove_value(x, 2)
+        assert solver.doms[x] == (1, 3)
+        emptying = {
+            "remove_below": lambda: solver.remove_below(x, 4),
+            "remove_above": lambda: solver.remove_above(x, 0),
+            "assign": lambda: solver.keep(x, restricted(solver.doms, RestrictDomain(x, "=", 2))),
+        }[empty]
         with pytest.raises(Inconsistency):
-            getattr(x, empty)(bound)
+            emptying()
+        assert solver.doms[x] == (1, 3)
         solver.pop_state()
-        assert_reads(x, [1, 2, 3])
-        assert_reads(y, [7])
+        assert solver.doms == [(1, 2, 3), (7,)]
         solver.pop_state()
-        assert_reads(y, [7, 8])
+        assert solver.doms[y] == (7, 8)
 
 
 class TestSumEqualsBC:
     def test_raises_lower_bound(self):
         solver, scope = solver_with([list(range(1, 11)), [2, 3], [2, 3]])
         solver.post(SumEqualsBC(15, scope))
-        assert domains_of(scope) == [[9, 10], [2, 3], [2, 3]]
+        assert domains_of(solver, scope) == [[9, 10], [2, 3], [2, 3]]
 
     def test_detects_inconsistency(self):
         solver, scope = solver_with([[1, 2], [1, 2], [1, 2]])
@@ -160,34 +166,34 @@ class TestSumEqualsBC:
     def test_incremental_after_restriction(self):
         solver, scope = solver_with([[1, 2, 3], [1, 2, 3]])
         solver.post(SumEqualsBC(4, scope))
-        scope[0].assign(1)
+        solver.keep(scope[0], (1,))
         solver.fixpoint()
-        assert domains_of(scope) == [[1], [3]]
+        assert domains_of(solver, scope) == [[1], [3]]
 
 
 class TestAllDifferentFC:
     def test_prunes_fixed_values(self):
         solver, scope = solver_with([[1], [1, 2], [1, 2, 3]])
         solver.post(AllDifferentFC(scope))
-        assert domains_of(scope) == [[1], [2], [3]]
+        assert domains_of(solver, scope) == [[1], [2], [3]]
 
     def test_chain_of_fixings(self):
         solver, scope = solver_with([[1], [1, 2], [2, 3]])
         solver.post(AllDifferentFC(scope))
-        assert domains_of(scope) == [[1], [2], [3]]
+        assert domains_of(solver, scope) == [[1], [2], [3]]
 
     def test_weaker_than_ac_on_pigeonhole(self):
         # FC sees no fixed variable, so it leaves the pigeonhole alone.
         solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
         solver.post(AllDifferentFC(scope))
-        assert domains_of(scope) == [[1, 2], [1, 2], [1, 2, 3]]
+        assert domains_of(solver, scope) == [[1, 2], [1, 2], [1, 2, 3]]
 
 
 class TestAllDifferentAC:
     def test_regin_example(self):
         solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
         solver.post(AllDifferentAC(scope))
-        assert domains_of(scope) == [[1, 2], [1, 2], [3]]
+        assert domains_of(solver, scope) == [[1, 2], [1, 2], [3]]
 
     def test_pigeonhole_inconsistent(self):
         solver, scope = solver_with([[1, 2], [1, 2], [1, 2]])
@@ -198,13 +204,13 @@ class TestAllDifferentAC:
         solver, scope = solver_with([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
         solver.post(AllDifferentAC(scope))
         solver.push_state()
-        scope[0].assign(1)
+        solver.keep(scope[0], (1,))
         solver.fixpoint()
-        assert domains_of(scope) == [[1], [2, 3], [2, 3]]
+        assert domains_of(solver, scope) == [[1], [2, 3], [2, 3]]
         solver.pop_state()
         solver.schedule_all()
         solver.fixpoint()
-        assert domains_of(scope) == [[1, 2, 3]] * 3
+        assert domains_of(solver, scope) == [[1, 2, 3]] * 3
 
     @pytest.mark.parametrize(
         "doms,expected",
@@ -225,7 +231,7 @@ class TestAllDifferentAC:
     def test_pruning_rule(self, doms, expected):
         solver, scope = solver_with(doms)
         solver.post(AllDifferentAC(scope))
-        assert domains_of(scope) == expected
+        assert domains_of(solver, scope) == expected
 
     @pytest.mark.parametrize("arity", [5, 6, 7])
     @pytest.mark.parametrize("width", [-1, 0, 2], ids=["narrower", "equal", "wider"])
@@ -267,7 +273,7 @@ class TestPostOrder:
             try:
                 for p in propagators if sum_first else reversed(propagators):
                     solver.post(p)
-                results.append(domains_of(scope))
+                results.append(domains_of(solver, scope))
             except Inconsistency:
                 results.append(None)
         assert results[0] == results[1]
@@ -359,6 +365,9 @@ class TestSolverBackedStateful:
             POP,
             PUSH,
             RestrictDomain(2, "<", 3),
+            PUSH,
+            RestrictDomain(1, "!=", 2),
+            RestrictDomain(1, "!=", 5),  # an absent value: a no-op
         ]
         solver_side = as_filter_with_state(sum_equals_bc(6), 3)
         oracle = IncrementalFiltering(
