@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .domains import Assignment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checker:
-    """A deterministic, side-effect-free predicate over complete assignments."""
+    """A deterministic, side-effect-free predicate over complete assignments.
+
+    Checkers compare and hash by identity: two checkers with the same arity
+    and name may hold different predicates, and each has its own memo in
+    the reference filters built on it.
+    """
 
     arity: int
-    predicate: Callable[[Assignment], bool] = field(compare=False)
+    predicate: Callable[[Assignment], bool]
     name: str = ""
 
     def __post_init__(self) -> None:

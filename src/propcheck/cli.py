@@ -15,6 +15,7 @@ exceeded, 4 replay did not reproduce.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import json
 import os
@@ -73,13 +74,24 @@ def _sum_total(spec: str) -> Optional[int]:
         raise UsageError(f"invalid sum target in checker {spec!r}")
 
 
-def parse_checker(spec: str, arity: int) -> checkers.Checker:
+def _new_checker(spec: str, arity: int) -> checkers.Checker:
     if spec == "alldiff":
         return checkers.all_different(arity)
     total = _sum_total(spec)
     if total is None:
         raise UsageError(f"unknown checker {spec!r}; valid checkers: alldiff, sum=<c>")
     return checkers.sum_equals(total, arity)
+
+
+# How `parse_checker` makes a checker. `main` sets a cache of `_new_checker`
+# for the length of one command, so the reference filters of a command share
+# one checker per spec, and with it the memo of `reference.make_reference`;
+# no checker outlives the command.
+_checker_maker = contextvars.ContextVar("_checker_maker", default=_new_checker)
+
+
+def parse_checker(spec: str, arity: int) -> checkers.Checker:
+    return _checker_maker.get()(spec, arity)
 
 
 def _level(name: str) -> reference.ConsistencyLevel:
@@ -439,6 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    token = _checker_maker.set(functools.cache(_new_checker))
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
@@ -454,6 +467,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except reference.EnumerationCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_CAP
+    finally:
+        _checker_maker.reset(token)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ All four work by explicit enumeration guarded by a tuple cap, so a "pass"
 can never hide an unexhausted search. Each value gets its own early-exit
 support search, and a search over more than `cap` tuples raises
 EnumerationCapExceeded. They are oracles for small instances, not
-production propagators. A filter from `make_reference` may also answer
-from a table of the checker's solutions over a box it has paid for (see
-`_Memo`).
+production propagators. The filters from `make_reference` over one
+checker share its witnesses and may also answer from a table of its
+solutions over a box their searches have paid for (see `_Memo`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 from typing import Optional, Sequence
 
 from .checkers import Checker
@@ -94,20 +95,25 @@ def _starting_at(vs: Sequence[int], x: int) -> Sequence[int]:
 
 
 class _Memo:
-    """What one `make_reference` filter keeps across its calls.
+    """What the `make_reference` filters over one checker keep across calls.
 
-    Besides the witnesses, it keeps the hull box of the instances it has
-    filtered (only those whose hull product fits the cap) and the number
-    of tuples its failed support searches have rejected since the last
-    build. Once that number reaches the size of the box, and the box fits
-    the cap, one pass over the box builds a table of the checker's
-    solutions: `bits[k][v]` is an int whose bit `n` is set when the n-th
-    solution has value `v` at position `k` (the bitsets of Compact-Table,
-    Demeulenaere et al. 2016). For an instance whose hull lies inside the
-    table's box, `_filter` then answers each support check from the
-    bitsets inside its own pass loop, with no predicate call.
-    The build thus costs no more predicate calls than the failed searches
-    before it, and a checker whose searches rarely fail seldom pays it.
+    Nothing here depends on the level: a witness is a solution of the
+    checker, and each call checks it against its own level's lists, while
+    the box and the table cover hulls. So every filter over one `Checker`
+    object, at any level and cap, shares one memo (`_memos`).
+
+    Besides the witnesses, it keeps the hull box of the instances filtered
+    (only those whose hull product fits the call's cap) and the number of
+    tuples the failed support searches have rejected since the last build.
+    Once that number reaches the size of the box, and the box fits the
+    cap, one pass over the box builds a table of the checker's solutions:
+    `bits[k][v]` is an int whose bit `n` is set when the n-th solution has
+    value `v` at position `k` (the bitsets of Compact-Table, Demeulenaere
+    et al. 2016). For an instance whose hull lies inside the table's box,
+    `_filter` then answers each support check from the bitsets inside its
+    own pass loop, with no predicate call. The build thus costs no more
+    predicate calls than the failed searches before it, and a checker
+    whose searches rarely fail seldom pays it.
     """
 
     __slots__ = ("witness", "start", "stop", "size", "wasted", "table")
@@ -154,6 +160,11 @@ class _Memo:
         return bits
 
 
+# The memo of each checker, keyed by identity (`Checker` compares by
+# identity) and weakly, so a memo lives exactly as long as its checker.
+_memos: weakref.WeakKeyDictionary[Checker, _Memo] = weakref.WeakKeyDictionary()
+
+
 def _inside(start: list[int], stop: list[int], box_start: list[int], box_stop: list[int]) -> bool:
     """Whether the ranges `range(start[k], stop[k])` lie inside the box's."""
     return all(map(operator.le, box_start, start)) and all(map(operator.le, stop, box_stop))
@@ -180,13 +191,14 @@ def _filter(
     supports can leave the hull when a bound moves, so the interval levels
     repeat the pass until no bound moves.
 
-    `memo` may hold the witnesses, the box and the table of earlier calls.
-    It is used only when the product of the hulls fits `cap`, so that no
-    search can pass the cap and whether a call raises never depends on
-    earlier calls. When `memo` has a table over the hulls, each pass
-    starts by computing `valid`, the solutions inside the current lists,
-    and a value is supported iff some valid solution holds it; no witness
-    or search is used. A removal within the pass leaves `valid` stale but
+    `memo` may hold the witnesses, the box and the table of earlier calls,
+    made at any level and under any cap. It is used only when the product
+    of the hulls fits this call's `cap`, so that no search can pass the
+    cap and whether a call raises never depends on earlier calls. When
+    `memo` has a table over the hulls, each pass starts by computing
+    `valid`, the solutions inside the current lists, and a value is
+    supported iff some valid solution holds it; no witness or search is
+    used. A removal within the pass leaves `valid` stale but
     safe: on the domain levels the value removed was in no valid solution,
     and on the interval levels `valid` goes stale only when a bound moves,
     which repeats the pass. Neither the order, the witnesses nor the table
@@ -289,15 +301,17 @@ def range_filter(
 def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT_CAP):
     """A Filter applying the reference algorithm for `level` to `checker`.
 
-    The filter keeps its witnesses across calls, at most one per (variable,
-    value), so a support found on one instance answers for a later one
-    wherever it is still valid. Once its failed searches have rejected as
-    many tuples as the box of its instances holds, it answers instances
-    inside that box from a table of the checker's solutions (`_Memo`).
-    Outcomes equal the level function's.
+    Every filter made over the same `checker` object, at any level and cap,
+    shares one memo (`_Memo`) for as long as the checker lives: witnesses,
+    at most one per (variable, value), so a support found on one instance
+    answers for a later one wherever it is still valid at the caller's
+    level; and, once failed searches have rejected as many tuples as the
+    box of the instances holds, a table of the checker's solutions that
+    answers instances inside that box. Outcomes equal the level function's.
     """
+    memo = _memos.setdefault(checker, _Memo())
     return Filter(
         arity=checker.arity,
-        apply=functools.partial(_filter, checker, level=level, cap=cap, memo=_Memo()),
+        apply=functools.partial(_filter, checker, level=level, cap=cap, memo=memo),
         name=f"{level.value}:{checker.name}",
     )

@@ -25,7 +25,7 @@ from propcheck.cli import (
     outcome_to_doc,
     parse_recipe,
 )
-from propcheck import cli
+from propcheck import checkers, cli
 from propcheck.domains import INCONSISTENT, Filtered
 from propcheck.minisolver import RECIPES, BugId
 
@@ -531,6 +531,69 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+class TestCheckersPerCommand:
+    """Each command parses a checker spec once; no checker outlives the command."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Checkers made by `checkers.sum_equals`, and their predicate calls."""
+        made, calls = [], [0]
+        sum_equals = checkers.sum_equals
+
+        def counted_sum_equals(total, arity):
+            checker = sum_equals(total, arity)
+
+            def predicate(a):
+                calls[0] += 1
+                return checker.predicate(a)
+
+            made.append(checkers.Checker(arity, predicate, checker.name))
+            return made[-1]
+
+        monkeypatch.setattr(checkers, "sum_equals", counted_sum_equals)
+        return made, calls
+
+    def test_same_command_twice_makes_the_same_calls(self, capsys, counted):
+        made, calls = counted
+        argv = (
+            "run", "--mode", "stronger", "--trusted", "boundz:sum=6",
+            "--tested", "boundd:sum=6", "--seed", "3",
+        )
+        runs = []
+        for _ in range(2):
+            calls[0] = 0
+            code, out, _ = run_cli(capsys, *argv)
+            runs.append((code, out, calls[0]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_PASS and runs[0][2] > 0
+        assert len(made) == 2  # one checker per command, shared by both sides
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dive", "--trusted", "boundz:sum=0", "--tested", "range:sum=0", "--dives", "3"),
+            ("run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", "sum-bc"),
+        ],
+        ids=["dive", "recipe"],
+    )
+    def test_one_checker_per_command(self, capsys, counted, argv):
+        made, _ = counted
+        assert run_cli(capsys, *argv, "--seed", "2")[0] == EXIT_PASS
+        assert len(made) == 1
+
+    def test_replay_parses_each_spec_once(self, capsys, tmp_path, counted):
+        made, _ = counted
+        code, out, _ = run_cli(
+            capsys, "run", "--mode", "stronger", "--trusted", "arc:sum=0",
+            "--tested", "boundz:sum=0", "--vars", "3", "--seed", "1",
+        )
+        assert code == EXIT_COUNTEREXAMPLE and len(made) == 1
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        assert run_cli(capsys, "replay", "--report", str(path))[0] == EXIT_COUNTEREXAMPLE
+        assert len(made) == 2
 
 
 class TestDocuments:

@@ -413,9 +413,9 @@ def test_refiltering_an_outcome_needs_no_search(level):
                 assert calls == [], (inst, checker.name)
 
 
-def outcome_or_cap(f, inst):
+def outcome_or_cap(apply, inst):
     try:
-        return f.apply(inst)
+        return apply(inst)
     except EnumerationCapExceeded:
         return EnumerationCapExceeded
 
@@ -424,15 +424,15 @@ def test_warm_witnesses_do_not_change_the_cap():
     # The hull product of `big` passes the cap, and so does each interval
     # support search, while each domain support search fits. The warm-up
     # instances leave a valid witness for both bounds of every variable,
-    # which must not spare `big` a search that passes the cap.
-    checker = sum_equals(0, 2)
+    # which must not spare `big` a search that passes the cap. The fresh
+    # filter has a checker of its own, so it shares no memo with `warm`.
     big = Instance.of([[-3, 3], [-3, 3]])
     for level in ConsistencyLevel:
-        warm = make_reference(level, checker, cap=5)
+        warm = make_reference(level, sum_equals(0, 2), cap=5)
         for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
             assert warm.apply(inst) == Filtered(inst)
-        fresh = make_reference(level, checker, cap=5)
-        assert outcome_or_cap(warm, big) == outcome_or_cap(fresh, big), level
+        fresh = make_reference(level, sum_equals(0, 2), cap=5)
+        assert outcome_or_cap(warm.apply, big) == outcome_or_cap(fresh.apply, big), level
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +515,8 @@ def test_no_table_when_the_box_passes_the_cap():
     # 10 * 10 * 10 tuples.
     low = Instance.of([range(0, 5), range(0, 5), range(0, 4)])
     high = Instance.of([range(5, 10), range(5, 10), range(6, 10)])
-    checker = sum_equals(12, 3)
     for level, func in LEVEL_FUNCS.items():
+        checker = sum_equals(12, 3)
         f = make_reference(ConsistencyLevel(level), checker, cap=100)
         for inst in (low, high):
             assert f.apply(inst) == func(checker, inst, cap=100)
@@ -530,12 +530,80 @@ def test_warm_witnesses_and_a_table_do_not_change_the_cap():
     # As in test_warm_witnesses_do_not_change_the_cap, but the warm filter
     # also holds a table, over a box that fits the cap; `big`'s hull does
     # not, so it is searched and raises as a fresh filter does.
-    checker = sum_equals(0, 2)
     big = Instance.of([[-3, 3], [-3, 3]])
     for level in ConsistencyLevel:
-        warm = with_table(level.value, checker, [[0, 1], [-1, 0]], cap=5)
+        warm = with_table(level.value, sum_equals(0, 2), [[0, 1], [-1, 0]], cap=5)
         for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
             assert warm.apply(inst) == Filtered(inst)
         assert memo_of(warm).table is not None
-        fresh = make_reference(level, checker, cap=5)
-        assert outcome_or_cap(warm, big) == outcome_or_cap(fresh, big), level
+        fresh = make_reference(level, sum_equals(0, 2), cap=5)
+        assert outcome_or_cap(warm.apply, big) == outcome_or_cap(fresh.apply, big), level
+
+
+# ---------------------------------------------------------------------------
+# The make_reference filters over one checker object, at any level, share
+# one memo; checkers that are not the same object never do.
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_a_table_built_at_one_level_answers_every_level(level):
+    rng = SplitMix64(53)
+    instances = [generate_instance(rng, GenConfig()) for _ in range(60)]
+    for checker in TABLE_CHECKERS:
+        counted, calls = counting(checker)
+        with_table(level, counted, BOX)
+        del calls[:]
+        for other, func in LEVEL_FUNCS.items():
+            f = make_reference(ConsistencyLevel(other), counted)
+            for inst in instances:
+                assert f.apply(inst) == func(checker, inst), (inst, checker.name, other)
+        assert calls == [], checker.name
+
+
+@pytest.mark.parametrize("level", ["boundd", "boundz", "range"])
+def test_refiltering_an_arc_outcome_at_another_level_needs_no_search(level):
+    # Each value of an arc outcome has a witness inside its domains, and so
+    # inside its hulls; a weaker level leaves the outcome as it is.
+    rng = SplitMix64(11)
+    instances = [generate_instance(rng, GenConfig()) for _ in range(20)]
+    for checker in (all_different(5), sum_equals(0, 5), sum_equals(6, 5)):
+        counted, calls = counting(checker)
+        arc = make_reference(ConsistencyLevel.ARC, counted)
+        weaker = make_reference(ConsistencyLevel(level), counted)
+        for inst in instances:
+            out = arc.apply(inst)
+            if out is not INCONSISTENT:
+                del calls[:]
+                assert weaker.apply(out.instance) == out
+                assert calls == [], (inst, checker.name)
+
+
+def test_checkers_with_one_name_share_no_witnesses():
+    # Equal arity and name, different predicates: the witness (0, 0) of
+    # sum=0 is no solution of the other, which keeps only (1, 1).
+    inst = Instance.of([[0, 1], [0, 1]])
+    for level, func in LEVEL_FUNCS.items():
+        real = sum_equals(0, 2)
+        other = Checker(2, lambda a: sum(a) == 2, real.name)
+        assert real != other
+        warm = make_reference(ConsistencyLevel(level), real)
+        assert warm.apply(inst) == as_outcome([[0], [0]]), level
+        f = make_reference(ConsistencyLevel(level), other)
+        assert memo_of(f) is not memo_of(warm)
+        assert f.apply(inst) == func(other, inst) == as_outcome([[1], [1]]), level
+
+
+def test_warm_witnesses_from_another_level_do_not_change_the_cap():
+    # test_warm_witnesses_do_not_change_the_cap across levels: the witnesses
+    # left at one level must not spare `big` a search past the cap at another.
+    big = Instance.of([[-3, 3], [-3, 3]])
+    for warm_level, level in itertools.product(ConsistencyLevel, repeat=2):
+        checker = sum_equals(0, 2)
+        warm = make_reference(warm_level, checker, cap=5)
+        for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
+            assert warm.apply(inst) == Filtered(inst)
+        f = make_reference(level, checker, cap=5)
+        func = LEVEL_FUNCS[level.value]
+        assert outcome_or_cap(f.apply, big) == outcome_or_cap(
+            lambda inst: func(checker, inst, cap=5), big
+        ), (warm_level, level)
