@@ -18,6 +18,7 @@ and any element that is not a `Domain`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Union
 
 INT32_MIN = -(2**31)
@@ -75,7 +76,7 @@ class Domain(tuple):
         return self[-1]
 
     def issubset(self, other: "Domain") -> bool:
-        return all(v in other for v in self)
+        return all(map(other.__contains__, self))
 
     def remove(self, v: int) -> "Domain":
         """A new domain without `v` (unchanged if absent)."""
@@ -94,7 +95,7 @@ class Instance(tuple):
         ds = tuple.__new__(cls, domains)
         if not ds:
             raise ValueError("an instance needs arity >= 1")
-        if not all(isinstance(d, Domain) for d in ds):
+        if not all(map(isinstance, ds, repeat(Domain))):
             raise TypeError("Instance expects Domain values")
         return ds
 
@@ -124,7 +125,7 @@ class Instance(tuple):
             raise ContractViolationError(
                 f"arity mismatch: {self.arity} vs {other.arity}"
             )
-        return all(a.issubset(b) for a, b in zip(self, other))
+        return all(map(Domain.issubset, self, other))
 
     def __repr__(self) -> str:
         return "Instance[%s]" % ", ".join(repr(d) for d in self)
@@ -136,7 +137,7 @@ class Filtered:
     __slots__ = ("instance",)
 
     def __init__(self, instance: Instance) -> None:
-        if any(d.is_empty() for d in instance):
+        if not all(instance):
             raise ValueError("a Filtered outcome cannot contain an empty domain")
         self.instance = instance
 

@@ -15,6 +15,10 @@ from typing import Callable
 from .domains import INT32_MAX, INT32_MIN, Domain, Instance
 
 _MASK64 = (1 << 64) - 1
+# The splitmix64 increment and its two mixing multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 # Generation costs one draw per candidate value, so a configuration may ask
 # for at most this many draws per instance.
@@ -22,7 +26,11 @@ _MAX_DRAWS = 1_000_000
 
 
 class SplitMix64:
-    """Bit-exact splitmix64; state is a 64-bit unsigned integer."""
+    """Bit-exact splitmix64; state is a 64-bit unsigned integer.
+
+    `generate_instance` runs the same step inline on a local copy of
+    `state`, with these module constants, and writes the state back.
+    """
 
     __slots__ = ("state",)
 
@@ -30,10 +38,9 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        self.state = z = (self.state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_below(self, n: int) -> int:
@@ -88,23 +95,33 @@ def generate_instance(rng: SplitMix64, cfg: GenConfig) -> Instance:
     """Draw one instance: each candidate value enters with probability density.
 
     A domain that comes out empty is forced to a single uniformly drawn
-    value, so domains are never empty. A value enters when
-    `next_float() < density`, tested on the integer draw: for `x = u >> 11`,
-    `x * 2**-53 < density` holds exactly when `x < ceil(density * 2**53)`.
+    value (`next_below`), so domains are never empty. A value enters when
+    `next_float() < density`, tested on the raw draw: for `x = u >> 11`,
+    `x * 2**-53 < density` holds exactly when `x < ceil(density * 2**53)`,
+    that is when `u < ceil(density * 2**53) << 11`. The splitmix64 step
+    runs inline on a local state, which is written back to `rng` before
+    each fallback draw and at the end, so the stream is `rng.next_u64()`'s.
+    The values come out ascending, distinct and inside the int32 range
+    that `GenConfig` enforces, so each domain skips `Domain`'s checks.
     """
-    span = cfg.value_max - cfg.value_min + 1
-    threshold = math.ceil(cfg.density * 2**53)
-    next_u64 = rng.next_u64
+    lo, hi = cfg.value_min, cfg.value_max + 1
+    threshold = math.ceil(cfg.density * 2**53) << 11
+    state = rng.state
     doms = []
     for _ in range(cfg.n_vars):
-        values = [
-            v
-            for v in range(cfg.value_min, cfg.value_max + 1)
-            if next_u64() >> 11 < threshold
-        ]
+        values = []
+        for v in range(lo, hi):
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            if z ^ (z >> 31) < threshold:
+                values.append(v)
         if not values:
-            values = [cfg.value_min + rng.next_below(span)]
-        doms.append(Domain(values))
+            rng.state = state
+            values = [lo + rng.next_below(hi - lo)]
+            state = rng.state
+        doms.append(Domain._from_sorted(values))
+    rng.state = state
     return Instance(doms)
 
 

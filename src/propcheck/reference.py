@@ -185,11 +185,15 @@ def _filter(
     in this call (phase saving). A support found is recorded in the
     witnesses as the witness of each of its components, and a later check
     reuses it while every component is still inside the lists (residual
-    supports, Lecoutre & Hemery 2007). A value without support leaves its
-    list at once. With domain supports one pass suffices: every support
-    found is a solution, and a solution loses none of its values. Interval
-    supports can leave the hull when a bound moves, so the interval levels
-    repeat the pass until no bound moves.
+    supports, Lecoutre & Hemery 2007). A pass checks the variables in
+    order: a full level checks every value, and a bounds-only level scans
+    inward from each end until a value is supported. A variable's
+    unsupported values leave its list when its scan ends, which changes
+    no check: each check of a variable fixes it to the value checked.
+    With domain supports one pass suffices: every support found is a
+    solution, and a solution loses none of its values. Interval supports
+    can leave the hull when a bound moves, so the interval levels repeat
+    the pass until no bound moves.
 
     `memo` may hold the witnesses, the box and the table of earlier calls,
     made at any level and under any cap. It is used only when the product
@@ -197,16 +201,17 @@ def _filter(
     cap and whether a call raises never depends on earlier calls. When
     `memo` has a table over the hulls, each pass starts by computing
     `valid`, the solutions inside the current lists, and a value is
-    supported iff some valid solution holds it; no witness or search is
-    used. A removal within the pass leaves `valid` stale but
-    safe: on the domain levels the value removed was in no valid solution,
-    and on the interval levels `valid` goes stale only when a bound moves,
-    which repeats the pass. Neither the order, the witnesses nor the table
-    change an outcome: each fixpoint is unique.
+    supported iff some valid solution holds it: that one-line check
+    replaces the search, and no witness is used. A removal within the pass
+    leaves `valid` stale but safe: on the domain levels the value removed
+    was in no valid solution, and on the interval levels `valid` goes
+    stale only when a bound moves, which repeats the pass. Neither the
+    order, the witnesses nor the table change an outcome: each fixpoint is
+    unique.
     """
     _check_arity(checker, inst)
     intervals, bounds_only = _LEVEL_FLAGS[level]
-    kept = [list(d.values) for d in inst.domains]
+    kept = list(map(list, inst))
     if not all(kept):
         return INCONSISTENT
     pred = checker.predicate
@@ -218,21 +223,19 @@ def _filter(
     else:
         bits = memo.lookup(start, stop, pred, cap)
     witness = memo.witness
-    hull = lambda vs: range(vs[0], vs[-1] + 1)
     # The domain levels search the kept lists themselves, so a removal
     # shows in every later search.
     lists: list[Sequence[int]] = list(map(range, start, stop)) if intervals else kept
     last: Optional[Assignment] = None
     valid = 0
 
-    def supported(i: int, v: int) -> bool:
+    def searched(i: int, v: int) -> bool:
         nonlocal last
-        if bits is not None:
-            return bool(bits[i][v] & valid)
         t = witness.get((i, v))
         if t is not None and all(map(operator.contains, lists, t)):
             return True
-        space = [*lists[:i], (v,), *lists[i + 1 :]]
+        space = lists.copy()
+        space[i] = (v,)
         size = math.prod(map(len, space))
         if size > cap:
             raise EnumerationCapExceeded(
@@ -245,9 +248,10 @@ def _filter(
             memo.wasted += size
             return False
         last = t
-        for k, x in enumerate(t):
-            witness[k, x] = t
+        witness.update(dict.fromkeys(enumerate(t), t))
         return True
+
+    supported = searched if bits is None else lambda i, v: bits[i][v] & valid
 
     while True:
         if bits is not None:
@@ -256,18 +260,26 @@ def _filter(
                 valid &= functools.reduce(operator.or_, map(b.__getitem__, lst))
         moved = False
         for i, vs in enumerate(kept):
-            for reverse in (False, True) if bounds_only else (False,):
-                for v in sorted(vs, reverse=reverse):
-                    if supported(i, v):
-                        if bounds_only:
-                            break
-                    else:
-                        vs.remove(v)
-                        if not vs:
-                            return INCONSISTENT
-                        if intervals and lists[i] != hull(vs):
-                            lists[i] = hull(vs)
-                            moved = True
+            n = len(vs)
+            if bounds_only:
+                # Scan inward from each end. The scan from above stops at
+                # the supported low bound, which it need not check again.
+                lo, hi = 0, n - 1
+                while not supported(i, vs[lo]):
+                    lo += 1
+                    if lo > hi:
+                        return INCONSISTENT
+                while hi > lo and not supported(i, vs[hi]):
+                    hi -= 1
+                del vs[hi + 1 :]
+                del vs[:lo]
+            else:
+                vs[:] = [v for v in vs if supported(i, v)]
+                if not vs:
+                    return INCONSISTENT
+            if intervals and len(vs) < n and lists[i] != (h := range(vs[0], vs[-1] + 1)):
+                lists[i] = h
+                moved = True
         if not moved:
             return Filtered(Instance([Domain._from_sorted(vs) for vs in kept]))
 

@@ -94,12 +94,22 @@ class TestGenerateInstance:
         inst = generate_instance(SplitMix64(42), cfg)
         assert inst == Instance.of([[-1, 0, 1, 2], [-1, 1], [-2, -1]])
 
-    # Each config draws about 700,000 candidate values: 7 per variable at
-    # the defaults, 41 per variable at -20..20.
+    # The first two configs draw about 700,000 candidate values each: 7 per
+    # variable at the defaults, 41 per variable at -20..20. The last two
+    # pin the ends of the threshold. The oracle draws through next_u64, so
+    # the generator's inline copy of the splitmix64 step must match it.
     @pytest.mark.parametrize(
         "cfg,count",
-        [(GenConfig(), 20_000), (GenConfig(value_min=-20, value_max=20, density=0.3), 3_500)],
-        ids=["defaults", "wide-sparse"],
+        [
+            (GenConfig(), 20_000),
+            (GenConfig(value_min=-20, value_max=20, density=0.3), 3_500),
+            # The threshold is 2**64, above every draw.
+            (GenConfig(density=1.0), 3_000),
+            # About 87% of domains come out empty and take the next_below
+            # fallback.
+            (GenConfig(density=0.02), 3_000),
+        ],
+        ids=["defaults", "wide-sparse", "full", "fallback"],
     )
     def test_same_stream_as_the_float_rule(self, cfg, count):
         # The generator as first written: one next_float() per candidate.

@@ -4,6 +4,7 @@ The brute-force oracle here deliberately reimplements support search from
 scratch (naive loops, no shared helpers) so the two routes stay independent.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -362,6 +363,29 @@ CALL_BUDGET = {
 }
 
 
+# The sha256 of the predicate's argument tuples, in call order, for the
+# same runs. A change that reorders checks or searches fails here even when
+# its count stays within budget.
+CALL_DIGEST = {
+    ("arc", "alldiff"): "9580a7d9f33c1709149fa34824a5815b298d5ac8055d5fec9a39668d27c45a69",
+    ("arc", "sum=0"): "20e6f2ea4a681f972c223e356fc85ef075c69d06af46a72b2cf3b6951bd39e6a",
+    ("arc", "sum=6"): "5ad92bdc3c9a4c2513e2c5d83cb75ec8827b110b19d6478f362e33b7ffd5817b",
+    ("boundd", "alldiff"): "89973e12c37fbf0def3c1a25bfec1fc2b6e7ea1e4fbda744f7995974e5784ff5",
+    ("boundd", "sum=0"): "cfc3ae910fdabc8eb5a43b11ba4d17512745367f012f72649032beafb1bb6e7b",
+    ("boundd", "sum=6"): "b4399e923a09bbf7e293cc070af33e8daeea297a977af0981ada617d3070ad90",
+    ("boundz", "alldiff"): "855dd5405e334f3f43f73d334cac1a9d77dac9e6d86e66cf3b5d0f2e77be57b0",
+    ("boundz", "sum=0"): "67184f85470690cde2d54aaf1b40e0642f1bb3864b62861254db330d46ec46c5",
+    ("boundz", "sum=6"): "aaf9f36ec66ab1cdcdc18b5f597294d462e4420712b1190c4b61693ad80476aa",
+    ("range", "alldiff"): "7f0b045d5e5a57282f3c6a961fb40096bef96b8c3ebd55bf893f92b7e55ad4db",
+    ("range", "sum=0"): "bb45239ef9ea92776316fce1e9a2aa2999f1fb22f9abc94e182370f92db6174a",
+    ("range", "sum=6"): "e9150ca99db04fead59f69ec66ddd2816db72fd43564e29aade062e83d2043f5",
+}
+
+
+def call_digest(calls):
+    return hashlib.sha256(repr(calls).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("level,name", sorted(CALL_BUDGET))
 def test_predicate_calls_within_budget(level, name):
     cfg = GenConfig()
@@ -376,6 +400,7 @@ def test_predicate_calls_within_budget(level, name):
     for inst in instances:
         LEVEL_FUNCS[level](counted, inst)
     assert len(calls) <= CALL_BUDGET[level, name]
+    assert call_digest(calls) == CALL_DIGEST[level, name]
 
 
 # ---------------------------------------------------------------------------
@@ -607,3 +632,19 @@ def test_warm_witnesses_from_another_level_do_not_change_the_cap():
         assert outcome_or_cap(f.apply, big) == outcome_or_cap(
             lambda inst: func(checker, inst, cap=5), big
         ), (warm_level, level)
+
+
+def test_reference_filters_call_the_predicate_in_a_fixed_order():
+    # Filters at every level share one sum=6 checker. Its failed searches
+    # pay for a table while they filter the 18th of 200 instances, so the
+    # digest pins the order of the searches and of the table build.
+    rng = SplitMix64(15)
+    instances = [generate_instance(rng, GenConfig()) for _ in range(200)]
+    counted, calls = counting(sum_equals(6, 5))
+    filters = [make_reference(ConsistencyLevel(level), counted) for level in sorted(LEVEL_FUNCS)]
+    for inst in instances:
+        for f in filters:
+            f.apply(inst)
+    assert memo_of(filters[0]).table is not None
+    assert len(calls) == 40_495
+    assert call_digest(calls) == "00d43af306f1339aab062ebfa2edf9fad9f2965f4205b727bc31d35646e5efeb"
