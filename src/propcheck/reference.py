@@ -14,8 +14,8 @@ can never hide an unexhausted search. Each value gets its own early-exit
 support search, and a search over more than `cap` tuples raises
 EnumerationCapExceeded. They are oracles for small instances, not
 production propagators. The filters from `make_reference` over one
-checker share its witnesses and may also answer from a table of its
-solutions over a box their searches have paid for (see `_Memo`).
+checker share its witnesses and a table of its solutions, which grows to
+cover each instance they filter while it fits the cap (see `_Memo`).
 """
 
 from __future__ import annotations
@@ -99,75 +99,89 @@ class _Memo:
 
     Nothing here depends on the level: a witness is a solution of the
     checker, and each call checks it against its own level's lists, while
-    the box and the table cover hulls. So every filter over one `Checker`
-    object, at any level and cap, shares one memo (`_memos`).
+    the table covers whatever lists it has seen. So every filter over one
+    `Checker` object, at any level and cap, shares one memo (`_memos`).
 
-    Besides the witnesses, it keeps the hull box of the instances filtered
-    (only those whose hull product fits the call's cap) and the number of
-    tuples the failed support searches have rejected since the last build.
-    Once that number reaches the size of the box, and the box fits the
-    cap, one pass over the box builds a table of the checker's solutions:
-    `bits[k][v]` is an int whose bit `n` is set when the n-th solution has
-    value `v` at position `k` (the bitsets of Compact-Table, Demeulenaere
-    et al. 2016). For an instance whose hull lies inside the table's box,
-    `_filter` then answers each support check from the bitsets inside its
-    own pass loop, with no predicate call. The build thus costs no more
-    predicate calls than the failed searches before it, and a checker
-    whose searches rarely fail seldom pays it.
+    Besides the witnesses, it keeps a table of the checker's solutions
+    over a region: `bits[k][v]` is an int whose bit `n` is set when the
+    n-th solution found has value `v` at position `k` (the bitsets of
+    Compact-Table, Demeulenaere et al. 2016), and the region is the
+    product of the keys of `bits[k]`. `lookup` grows the region to cover
+    each call's lists, enumerating only the tuples it adds, so over the
+    memo's life the checker is called once per tuple of the region.
     """
 
-    __slots__ = ("witness", "start", "stop", "size", "wasted", "table")
+    __slots__ = ("witness", "bits", "count")
 
-    def __init__(self) -> None:
+    def __init__(self, arity: int) -> None:
         self.witness: Witnesses = {}
-        # The box, as the ranges `range(start[k], stop[k])`.
-        self.start: list[int] = []
-        self.stop: list[int] = []
-        self.size = 0
-        self.wasted = 0
-        self.table: Optional[tuple[list[int], list[int], list[dict[int, int]]]] = None
+        self.bits: list[dict[int, int]] = [{} for _ in range(arity)]
+        self.count = 0  # the number of solutions in the table
 
-    def lookup(self, start: list[int], stop: list[int], pred, cap: int):
-        """The bitsets of a table whose box holds the given hull, or None.
+    def lookup(self, lists: list[Sequence[int]], pred, cap: int) -> Optional[int]:
+        """The solutions of the table inside `lists` as a bitset, or None.
 
-        A hull outside the box grows it, and a table is built over the box
-        once the failed searches have paid for it.
+        Lists outside the region grow it to the product of `old[k] + added[k]`
+        by enumerating one slab per position `k` that gains values: positions
+        before `k` over their old values, `k` over its added values, and
+        positions after `k` over their new values. The slabs are disjoint
+        and together hold exactly the tuples the region gains. None when
+        the grown region would pass `cap`; the region then stays as it is.
         """
-        t = self.table
-        if t is not None and _inside(start, stop, t[0], t[1]):
-            return t[2]
-        if not self.start:
-            self.start, self.stop = start, stop
-        elif _inside(start, stop, self.start, self.stop):
-            if self.wasted < self.size:
-                return None
-        else:
-            self.start = list(map(min, self.start, start))
-            self.stop = list(map(max, self.stop, stop))
-        self.size = math.prod(map(operator.sub, self.stop, self.start))
-        if self.wasted < self.size or self.size > cap:
+        bits = self.bits
+        try:
+            return _valid(bits, lists)
+        except KeyError:  # a value outside the region
+            pass
+        added = [[v for v in lst if v not in b] for b, lst in zip(bits, lists)]
+        old = list(map(list, bits))
+        new = list(map(operator.add, old, added))
+        if math.prod(map(len, new)) > cap:
             return None
-        box = list(map(range, self.start, self.stop))
-        sols = list(filter(pred, itertools.product(*box)))
-        masks = [{v: bytearray((len(sols) + 7) // 8) for v in r} for r in box]
-        for n, sol in enumerate(sols):
-            byte, bit = n >> 3, 1 << (n & 7)
-            for m, v in zip(masks, sol):
-                m[v][byte] |= bit
-        bits = [{v: int.from_bytes(b, "little") for v, b in m.items()} for m in masks]
-        self.table = (self.start, self.stop, bits)
-        self.wasted = 0
-        return bits
+        sols: list[Assignment] = []
+        for k, vs in enumerate(added):
+            if vs:
+                sols += filter(pred, itertools.product(*old[:k], vs, *new[k + 1 :]))
+        for b, vs in zip(bits, added):
+            b.update(dict.fromkeys(vs, 0))
+        _pack(sols, bits, self.count)
+        self.count += len(sols)
+        return _valid(bits, lists)
+
+
+def _valid(bits: list[dict[int, int]], lists: list[Sequence[int]]) -> int:
+    """The bitset of the table's solutions inside `lists`."""
+    valid = -1
+    for b, lst in zip(bits, lists):
+        valid &= functools.reduce(operator.or_, map(b.__getitem__, lst))
+    return valid
+
+
+# A translation table that maps every byte to b"0"; `_pack` sets one byte to b"1".
+_ZEROS = b"0" * 256
+
+
+def _pack(sols: list[Assignment], bits: list[dict[int, int]], offset: int) -> None:
+    """Set bit `offset + n` of `bits[k][v]` for the n-th solution's value `v` at `k`.
+
+    Per position, each value gets a one-byte code, at most 255 values per
+    round, and 255 stands for the values of other rounds. The codes of the
+    column, last solution first, translate to the binary digits of the
+    value's bitset, which `int` reads in one call.
+    """
+    for b, col in zip(bits, zip(*sols)):
+        col = col[::-1]
+        vals = list(set(col))
+        for s in range(0, len(vals), 255):
+            round_ = vals[s : s + 255]
+            codes = bytes(map(dict(zip(round_, range(255))).get, col, itertools.repeat(255)))
+            for c, v in enumerate(round_):
+                b[v] |= int(codes.translate(_ZEROS[:c] + b"1" + _ZEROS[c + 1 :]), 2) << offset
 
 
 # The memo of each checker, keyed by identity (`Checker` compares by
 # identity) and weakly, so a memo lives exactly as long as its checker.
 _memos: weakref.WeakKeyDictionary[Checker, _Memo] = weakref.WeakKeyDictionary()
-
-
-def _inside(start: list[int], stop: list[int], box_start: list[int], box_stop: list[int]) -> bool:
-    """Whether the ranges `range(start[k], stop[k])` lie inside the box's."""
-    return all(map(operator.le, box_start, start)) and all(map(operator.le, stop, box_stop))
 
 
 def _filter(
@@ -195,19 +209,19 @@ def _filter(
     can leave the hull when a bound moves, so the interval levels repeat
     the pass until no bound moves.
 
-    `memo` may hold the witnesses, the box and the table of earlier calls,
-    made at any level and under any cap. It is used only when the product
-    of the hulls fits this call's `cap`, so that no search can pass the
-    cap and whether a call raises never depends on earlier calls. When
-    `memo` has a table over the hulls, each pass starts by computing
-    `valid`, the solutions inside the current lists, and a value is
-    supported iff some valid solution holds it: that one-line check
-    replaces the search, and no witness is used. A removal within the pass
-    leaves `valid` stale but safe: on the domain levels the value removed
-    was in no valid solution, and on the interval levels `valid` goes
-    stale only when a bound moves, which repeats the pass. Neither the
-    order, the witnesses nor the table change an outcome: each fixpoint is
-    unique.
+    `memo` may hold the witnesses and the table of earlier calls, made at
+    any level and under any cap. It is used only when the product of the
+    hulls fits this call's `cap`, so that no search can pass the cap and
+    whether a call raises never depends on earlier calls. The table's
+    region then grows to cover this call's lists unless it would pass the
+    cap (`_Memo.lookup`), and while it covers them each pass starts by
+    computing `valid`, the solutions inside the current lists: a value is
+    supported iff some valid solution holds it, `bits[i][v] & valid`, and
+    no search or witness is used. A removal within the pass leaves `valid`
+    stale but safe: on the domain levels the value removed was in no valid
+    solution, and on the interval levels `valid` goes stale only when a
+    bound moves, which repeats the pass. Neither the order, the witnesses
+    nor the table change an outcome: each fixpoint is unique.
     """
     _check_arity(checker, inst)
     intervals, bounds_only = _LEVEL_FLAGS[level]
@@ -215,19 +229,18 @@ def _filter(
     if not all(kept):
         return INCONSISTENT
     pred = checker.predicate
-    start = [vs[0] for vs in kept]
-    stop = [vs[-1] + 1 for vs in kept]
-    if memo is None or math.prod(map(operator.sub, stop, start)) > cap:
-        memo = _Memo()
-        bits = None
-    else:
-        bits = memo.lookup(start, stop, pred, cap)
-    witness = memo.witness
     # The domain levels search the kept lists themselves, so a removal
     # shows in every later search.
-    lists: list[Sequence[int]] = list(map(range, start, stop)) if intervals else kept
+    hulls = [range(vs[0], vs[-1] + 1) for vs in kept]
+    lists: list[Sequence[int]] = hulls if intervals else kept
+    valid = None
+    if memo is None or math.prod(map(len, hulls)) > cap:
+        memo = _Memo(len(kept))
+    else:
+        valid = memo.lookup(lists, pred, cap)
+    bits = memo.bits
+    witness = memo.witness
     last: Optional[Assignment] = None
-    valid = 0
 
     def searched(i: int, v: int) -> bool:
         nonlocal last
@@ -236,8 +249,7 @@ def _filter(
             return True
         space = lists.copy()
         space[i] = (v,)
-        size = math.prod(map(len, space))
-        if size > cap:
+        if math.prod(map(len, space)) > cap:
             raise EnumerationCapExceeded(
                 f"support search for variable {i} needs more than {cap} tuples"
             )
@@ -245,43 +257,59 @@ def _filter(
             space = list(map(_starting_at, space, last))
         t = next(filter(pred, itertools.product(*space)), None)
         if t is None:
-            memo.wasted += size
             return False
         last = t
         witness.update(dict.fromkeys(enumerate(t), t))
         return True
 
-    supported = searched if bits is None else lambda i, v: bits[i][v] & valid
-
     while True:
-        if bits is not None:
-            valid = -1
-            for b, lst in zip(bits, lists):
-                valid &= functools.reduce(operator.or_, map(b.__getitem__, lst))
+        if valid == 0:
+            return INCONSISTENT
         moved = False
         for i, vs in enumerate(kept):
             n = len(vs)
-            if bounds_only:
-                # Scan inward from each end. The scan from above stops at
-                # the supported low bound, which it need not check again.
-                lo, hi = 0, n - 1
-                while not supported(i, vs[lo]):
-                    lo += 1
-                    if lo > hi:
-                        return INCONSISTENT
-                while hi > lo and not supported(i, vs[hi]):
-                    hi -= 1
-                del vs[hi + 1 :]
-                del vs[:lo]
+            # A bounds-only level scans inward from each end. The scan from
+            # above stops at the supported low bound, which it need not
+            # check again.
+            if valid is None:
+                if bounds_only:
+                    lo = 0
+                    while lo < n and not searched(i, vs[lo]):
+                        lo += 1
+                    hi = n - 1
+                    while hi > lo and not searched(i, vs[hi]):
+                        hi -= 1
+                    del vs[hi + 1 :]
+                    del vs[:lo]
+                else:
+                    vs[:] = [v for v in vs if searched(i, v)]
             else:
-                vs[:] = [v for v in vs if supported(i, v)]
-                if not vs:
-                    return INCONSISTENT
+                b = bits[i]
+                if bounds_only:
+                    lo = 0
+                    while lo < n and not b[vs[lo]] & valid:
+                        lo += 1
+                    hi = n - 1
+                    while hi > lo and not b[vs[hi]] & valid:
+                        hi -= 1
+                    del vs[hi + 1 :]
+                    del vs[:lo]
+                else:
+                    vs[:] = [v for v in vs if b[v] & valid]
+            if not vs:
+                return INCONSISTENT
             if intervals and len(vs) < n and lists[i] != (h := range(vs[0], vs[-1] + 1)):
                 lists[i] = h
                 moved = True
         if not moved:
-            return Filtered(Instance([Domain._from_sorted(vs) for vs in kept]))
+            break
+        if valid is not None:
+            valid = _valid(bits, lists)
+    if list(map(len, kept)) == list(map(len, inst)):
+        return Filtered(inst)
+    return Filtered(
+        Instance([d if len(d) == len(vs) else Domain._from_sorted(vs) for d, vs in zip(inst, kept)])
+    )
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:
@@ -314,14 +342,15 @@ def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT
     """A Filter applying the reference algorithm for `level` to `checker`.
 
     Every filter made over the same `checker` object, at any level and cap,
-    shares one memo (`_Memo`) for as long as the checker lives: witnesses,
-    at most one per (variable, value), so a support found on one instance
-    answers for a later one wherever it is still valid at the caller's
-    level; and, once failed searches have rejected as many tuples as the
-    box of the instances holds, a table of the checker's solutions that
-    answers instances inside that box. Outcomes equal the level function's.
+    shares one memo (`_Memo`) for as long as the checker lives: a table of
+    the checker's solutions over a region that each call grows to cover its
+    own lists, enumerating only the tuples it adds, and witnesses, at most
+    one per (variable, value), for the calls whose grown region would pass
+    their cap. Outcomes equal the level function's. The first call pays for
+    a table over its lists, so for one instance the level function is
+    cheaper.
     """
-    memo = _memos.setdefault(checker, _Memo())
+    memo = _memos.setdefault(checker, _Memo(checker.arity))
     return Filter(
         arity=checker.arity,
         apply=functools.partial(_filter, checker, level=level, cap=cap, memo=memo),

@@ -9,6 +9,10 @@ from propcheck import (
     PUSH,
     Instance,
     RestrictDomain,
+    arc_filter,
+    bound_d_filter,
+    bound_z_filter,
+    range_filter,
 )
 from propcheck.cli import (
     EXIT_CAP,
@@ -554,6 +558,29 @@ class TestCheckersPerCommand:
 
         monkeypatch.setattr(checkers, "sum_equals", counted_sum_equals)
         return made, calls
+
+    @pytest.mark.parametrize(
+        "level,func",
+        [("arc", arc_filter), ("boundz", bound_z_filter), ("boundd", bound_d_filter),
+         ("range", range_filter)],
+        ids=["arc", "boundz", "boundd", "range"],
+    )
+    def test_oracle_calls_the_predicate_as_the_level_function_does(
+        self, capsys, monkeypatch, counted, level, func
+    ):
+        # A table over this one instance would take 10**6 predicate calls;
+        # the level function's support searches take far fewer.
+        import io, sys
+
+        made, calls = counted
+        domains = [list(range(10))] * 6
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"domains": domains})))
+        code, out, _ = run_cli(capsys, "oracle", "--level", level, "--checker", "sum=27")
+        assert code == EXIT_PASS
+        oracle_calls, calls[0] = calls[0], 0
+        expected = func(checkers.sum_equals(27, 6), Instance.of(domains))
+        assert json.loads(out) == outcome_to_doc(expected)
+        assert oracle_calls == calls[0] < 10**4
 
     def test_same_command_twice_makes_the_same_calls(self, capsys, counted):
         made, calls = counted

@@ -6,6 +6,8 @@ scratch (naive loops, no shared helpers) so the two routes stay independent.
 
 import hashlib
 import itertools
+import math
+import operator
 
 import pytest
 
@@ -461,20 +463,47 @@ def test_warm_witnesses_do_not_change_the_cap():
 
 
 # ---------------------------------------------------------------------------
-# Once its failed searches have paid for it, a make_reference filter answers
-# from a table of the checker's solutions over the box of its instances.
+# A make_reference filter answers from a table of the checker's solutions
+# over a region that grows, slab by slab, to cover the lists of each call
+# that fits its cap.
 
 
 def memo_of(f):
     return f.apply.keywords["memo"]
 
 
+def region(memo):
+    """The value lists whose product is the region of the memo's table."""
+    return [sorted(b) for b in memo.bits]
+
+
+def region_size(memo):
+    return math.prod(map(len, memo.bits))
+
+
+def in_region(t, lists):
+    return all(map(operator.contains, lists, t))
+
+
+def assert_extension(calls, old, new):
+    """The calls enumerate each tuple of region `new` outside region `old` once."""
+    assert len(set(calls)) == len(calls) == math.prod(map(len, new)) - math.prod(map(len, old))
+    assert all(in_region(t, new) and not in_region(t, old) for t in calls)
+
+
+def table_solutions(memo):
+    """The table's solutions, read back from its bitsets in index order."""
+    return [
+        tuple(v for b in memo.bits for v, bits in b.items() if bits >> n & 1)
+        for n in range(memo.count)
+    ]
+
+
 def with_table(level, checker, box, cap=DEFAULT_CAP):
-    """A make_reference filter whose table over `box` is built at once."""
+    """A make_reference filter whose table's region is `box`, built by one call."""
     f = make_reference(ConsistencyLevel(level), checker, cap=cap)
-    memo_of(f).wasted = 10**18  # as if failed searches had paid already
     f.apply(Instance.of(box))
-    assert memo_of(f).table is not None
+    assert region(memo_of(f)) == [sorted(vs) for vs in box]
     return f
 
 
@@ -497,6 +526,7 @@ def test_table_answers_as_the_level_function_with_no_predicate_call(level):
         counted, calls = counting(checker)
         f = with_table(level, counted, BOX)
         assert len(calls) == 7**5  # the build: one pass over the box
+        assert table_solutions(memo_of(f)) == solutions(checker, Instance.of(BOX))
         del calls[:]
         for inst in instances:
             assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (inst, checker.name)
@@ -505,62 +535,128 @@ def test_table_answers_as_the_level_function_with_no_predicate_call(level):
 
 @pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
 def test_instance_outside_the_table_is_searched(level):
+    # The region [-1, 1]**5 holds as many tuples as the cap, so it cannot
+    # grow: an instance inside it is answered from the table, and one
+    # outside it is searched (or raises) as by the level function.
     small = [[-1, 0, 1]] * 5
+    cap = 3**5
     rng = SplitMix64(41)
-    instances = [generate_instance(rng, GenConfig()) for _ in range(20)]
+    configs = (GenConfig(value_min=-1, value_max=1), GenConfig(value_min=-2, value_max=2))
+    instances = [generate_instance(rng, cfg) for cfg in configs for _ in range(10)]
     for checker in TABLE_CHECKERS:
+        counted, calls = counting(checker)
+        f = with_table(level, counted, small, cap=cap)
+        inside = region(memo_of(f))
         for inst in instances:
-            counted, calls = counting(checker)
-            f = with_table(level, counted, small)
-            table = memo_of(f).table
             del calls[:]
-            assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (inst, checker.name)
-            assert calls, (inst, checker.name)
-            assert memo_of(f).table is table  # one call does not pay for a rebuild
+            got = outcome_or_cap(f.apply, inst)
+            assert got == outcome_or_cap(lambda i: LEVEL_FUNCS[level](checker, i, cap=cap), inst)
+            assert region(memo_of(f)) == inside, (inst, checker.name)
+            if all(map(set(range(-1, 2)).issuperset, inst)):
+                assert calls == [], (inst, checker.name)
+            elif got is not EnumerationCapExceeded:
+                assert calls, (inst, checker.name)
 
 
-def test_failed_searches_pay_for_the_table():
-    # sum=-9 has few solutions in [-3, 3]**5, so failed searches soon reject
-    # as many tuples as the box holds. A checker that accepts every tuple
-    # fails no search, so it never pays for a table.
+def test_the_table_costs_one_predicate_call_per_tuple_of_its_region():
+    # Filters at every level share each checker, and every instance fits
+    # the cap, so each call is answered from the table: over the memo's
+    # life the checker is called once for each tuple of the final region,
+    # whether its supports are scarce, plentiful or everywhere.
     rng = SplitMix64(43)
     instances = [generate_instance(rng, GenConfig()) for _ in range(100)]
-    for level in ConsistencyLevel:
-        scarce = make_reference(level, sum_equals(-9, 5))
-        anything = make_reference(level, Checker(5, lambda a: True, "true"))
+    for checker in (sum_equals(-9, 5), all_different(5), Checker(5, lambda a: True, "true")):
+        counted, calls = counting(checker)
+        filters = {level: make_reference(level, counted) for level in ConsistencyLevel}
         for inst in instances:
-            scarce.apply(inst)
-            anything.apply(inst)
-        assert memo_of(scarce).table is not None, level
-        assert memo_of(anything).table is None, level
+            for level, f in filters.items():
+                assert f.apply(inst) == LEVEL_FUNCS[level.value](checker, inst)
+        memo = memo_of(filters[ConsistencyLevel.ARC])
+        assert len(calls) == len(set(calls)) == region_size(memo), checker.name
+        assert table_solutions(memo) == list(filter(checker.predicate, calls))
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_an_extension_enumerates_exactly_the_new_tuples_of_the_region(level):
+    rng = SplitMix64(47)
+    configs = (GenConfig(value_min=-2, value_max=1), GenConfig())
+    instances = [generate_instance(rng, cfg) for cfg in configs for _ in range(6)]
+    for checker in TABLE_CHECKERS:
+        counted, calls = counting(checker)
+        f = make_reference(ConsistencyLevel(level), counted)
+        for inst in instances:
+            old = region(memo_of(f))
+            del calls[:]
+            assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (inst, checker.name)
+            new = region(memo_of(f))
+            assert all(map(set.issuperset, map(set, new), old)), (inst, checker.name)
+            assert_extension(calls, old, new)
+        assert sorted(table_solutions(memo_of(f))) == solutions(checker, Instance.of(region(memo_of(f))))
 
 
 def test_no_table_when_the_box_passes_the_cap():
-    # Each hull product is 100, within the cap, but the box of both is
-    # 10 * 10 * 10 tuples.
+    # Each hull product is 100, within the cap, so `low` gets a table over
+    # its lists. The box of both holds 10 * 10 * 10 tuples (10 * 10 * 8 at
+    # the domain levels), so `high` is searched and the table never grows
+    # over it.
     low = Instance.of([range(0, 5), range(0, 5), range(0, 4)])
     high = Instance.of([range(5, 10), range(5, 10), range(6, 10)])
     for level, func in LEVEL_FUNCS.items():
         checker = sum_equals(12, 3)
         f = make_reference(ConsistencyLevel(level), checker, cap=100)
-        for inst in (low, high):
-            assert f.apply(inst) == func(checker, inst, cap=100)
-        memo_of(f).wasted = 10**18
-        for inst in (low, high):
-            assert f.apply(inst) == func(checker, inst, cap=100)
-        assert memo_of(f).table is None, level
+        for _ in range(2):
+            for inst in (low, high):
+                assert f.apply(inst) == func(checker, inst, cap=100)
+        assert region(memo_of(f)) == list(map(list, low)), level
+
+
+def test_a_region_past_the_cap_falls_back_to_search_and_raises_as_the_level_function():
+    # The region [0, 2]**3 holds 27 tuples, within the cap of 30. Growing
+    # it over `apart` would pass the cap, so `apart` is searched; `big`
+    # has support searches of 100 tuples, so it raises at every level.
+    apart = Instance.of([[3, 4], [3, 4], [3, 4]])
+    big = Instance.of([list(range(10))] * 3)
+    for level, func in LEVEL_FUNCS.items():
+        for checker in (all_different(3), sum_equals(6, 3), sum_equals(11, 3)):
+            counted, calls = counting(checker)
+            f = with_table(level, counted, [[0, 1, 2]] * 3, cap=30)
+            inside = region(memo_of(f))
+            del calls[:]
+            assert f.apply(apart) == func(checker, apart, cap=30), (level, checker.name)
+            assert calls and not any(in_region(t, inside) for t in calls), (level, checker.name)
+            with pytest.raises(EnumerationCapExceeded):
+                func(checker, big, cap=30)
+            with pytest.raises(EnumerationCapExceeded):
+                f.apply(big)
+            assert region(memo_of(f)) == inside, (level, checker.name)
+
+
+def test_packing_holds_more_than_256_values_at_one_position():
+    # 600 values at position 0: the bitsets are packed in rounds of 255
+    # one-byte codes, and the extension over [3, 4] appends solutions
+    # after the first 600.
+    checker = Checker(2, lambda a: a[0] % 5 == a[1], "mod5")
+    f = make_reference(ConsistencyLevel.ARC, checker)
+    for lists in ([range(600), range(3)], [range(600), range(3, 5)]):
+        inst = Instance.of(lists)
+        assert f.apply(inst) == arc_filter(checker, inst)
+    memo = memo_of(f)
+    assert len(memo.bits[0]) == 600 and memo.count == 600
+    assert table_solutions(memo) == sorted(
+        solutions(checker, Instance.of([range(600), range(3)]))
+    ) + sorted(solutions(checker, Instance.of([range(600), range(3, 5)])))
 
 
 def test_warm_witnesses_and_a_table_do_not_change_the_cap():
     # As in test_warm_witnesses_do_not_change_the_cap, but the warm filter
-    # also holds a table, over a box that fits the cap; `big`'s hull does
-    # not, so it is searched and raises as a fresh filter does.
+    # also holds a table, over a region that fits the cap; `big`'s hull
+    # does not, so it is searched and raises as a fresh filter does.
     big = Instance.of([[-3, 3], [-3, 3]])
     for level in ConsistencyLevel:
         warm = with_table(level.value, sum_equals(0, 2), [[0, 1], [-1, 0]], cap=5)
         for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
             assert warm.apply(inst) == Filtered(inst)
-        assert memo_of(warm).table is not None
+        assert region(memo_of(warm)) == [[0, 1], [-1, 0]]
         fresh = make_reference(level, sum_equals(0, 2), cap=5)
         assert outcome_or_cap(warm.apply, big) == outcome_or_cap(fresh.apply, big), level
 
@@ -587,8 +683,11 @@ def test_a_table_built_at_one_level_answers_every_level(level):
 
 @pytest.mark.parametrize("level", ["boundd", "boundz", "range"])
 def test_refiltering_an_arc_outcome_at_another_level_needs_no_search(level):
-    # Each value of an arc outcome has a witness inside its domains, and so
-    # inside its hulls; a weaker level leaves the outcome as it is.
+    # Each value of an arc outcome has a solution inside its domains, and
+    # so inside its hulls; a weaker level leaves the outcome as it is. The
+    # arc call's table covers the outcome's domains but maybe not the holes
+    # in its hulls, so the interval levels may extend the region over them,
+    # which is every predicate call they make: none is a search.
     rng = SplitMix64(11)
     instances = [generate_instance(rng, GenConfig()) for _ in range(20)]
     for checker in (all_different(5), sum_equals(0, 5), sum_equals(6, 5)):
@@ -598,9 +697,12 @@ def test_refiltering_an_arc_outcome_at_another_level_needs_no_search(level):
         for inst in instances:
             out = arc.apply(inst)
             if out is not INCONSISTENT:
+                old = region(memo_of(arc))
                 del calls[:]
                 assert weaker.apply(out.instance) == out
-                assert calls == [], (inst, checker.name)
+                assert_extension(calls, old, region(memo_of(arc)))
+                if level == "boundd":
+                    assert calls == [], (inst, checker.name)
 
 
 def test_checkers_with_one_name_share_no_witnesses():
@@ -635,9 +737,11 @@ def test_warm_witnesses_from_another_level_do_not_change_the_cap():
 
 
 def test_reference_filters_call_the_predicate_in_a_fixed_order():
-    # Filters at every level share one sum=6 checker. Its failed searches
-    # pay for a table while they filter the 18th of 200 instances, so the
-    # digest pins the order of the searches and of the table build.
+    # Filters at every level share one sum=6 checker. Every instance fits
+    # the cap, so each call answers from the table, growing its region
+    # where it must: six extensions over the first five instances reach
+    # the whole box [-3, 3]**5, and the digest pins the order in which the
+    # slabs of each extension are enumerated.
     rng = SplitMix64(15)
     instances = [generate_instance(rng, GenConfig()) for _ in range(200)]
     counted, calls = counting(sum_equals(6, 5))
@@ -645,6 +749,6 @@ def test_reference_filters_call_the_predicate_in_a_fixed_order():
     for inst in instances:
         for f in filters:
             f.apply(inst)
-    assert memo_of(filters[0]).table is not None
-    assert len(calls) == 40_495
-    assert call_digest(calls) == "00d43af306f1339aab062ebfa2edf9fad9f2965f4205b727bc31d35646e5efeb"
+    assert len(calls) == region_size(memo_of(filters[0]))
+    assert len(calls) == 7**5
+    assert call_digest(calls) == "b7d4707f50a43714be171b2c0cf99b1c109fe2e3a4cdbb8d894716fe718f0670"
