@@ -76,7 +76,7 @@ class Domain(tuple):
         return self[-1]
 
     def issubset(self, other: "Domain") -> bool:
-        return all(map(other.__contains__, self))
+        return self is other or all(map(other.__contains__, self))
 
     def remove(self, v: int) -> "Domain":
         """A new domain without `v` (unchanged if absent)."""
@@ -121,6 +121,8 @@ class Instance(tuple):
         return len(assignment) == len(self) and all(v in d for v, d in zip(assignment, self))
 
     def pointwise_subset_of(self, other: "Instance") -> bool:
+        if self is other:
+            return True
         if self.arity != other.arity:
             raise ContractViolationError(
                 f"arity mismatch: {self.arity} vs {other.arity}"

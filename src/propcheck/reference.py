@@ -118,7 +118,7 @@ class _Memo:
         self.bits: list[dict[int, int]] = [{} for _ in range(arity)]
         self.count = 0  # the number of solutions in the table
 
-    def lookup(self, lists: list[Sequence[int]], pred, cap: int) -> Optional[int]:
+    def lookup(self, lists: Sequence[Sequence[int]], pred, cap: int) -> Optional[int]:
         """The solutions of the table inside `lists` as a bitset, or None.
 
         Lists outside the region grow it to the product of `old[k] + added[k]`
@@ -149,11 +149,15 @@ class _Memo:
         return _valid(bits, lists)
 
 
-def _valid(bits: list[dict[int, int]], lists: list[Sequence[int]]) -> int:
-    """The bitset of the table's solutions inside `lists`."""
+def _valid(bits: list[dict[int, int]], lists: Sequence[Sequence[int]]) -> int:
+    """The bitset of the table's solutions inside `lists`.
+
+    A solution holds one value per position, so the bitsets of one
+    position are disjoint and their sum is their union.
+    """
     valid = -1
     for b, lst in zip(bits, lists):
-        valid &= functools.reduce(operator.or_, map(b.__getitem__, lst))
+        valid &= sum(map(b.__getitem__, lst))
     return valid
 
 
@@ -214,32 +218,26 @@ def _filter(
     hulls fits this call's `cap`, so that no search can pass the cap and
     whether a call raises never depends on earlier calls. The table's
     region then grows to cover this call's lists unless it would pass the
-    cap (`_Memo.lookup`), and while it covers them each pass starts by
-    computing `valid`, the solutions inside the current lists: a value is
-    supported iff some valid solution holds it, `bits[i][v] & valid`, and
-    no search or witness is used. A removal within the pass leaves `valid`
-    stale but safe: on the domain levels the value removed was in no valid
-    solution, and on the interval levels `valid` goes stale only when a
-    bound moves, which repeats the pass. Neither the order, the witnesses
-    nor the table change an outcome: each fixpoint is unique.
+    cap (`_Memo.lookup`), and while it covers them `_table_pass` answers
+    the call with no search and no witness. Neither the order, the
+    witnesses nor the table change an outcome: each fixpoint is unique.
     """
     _check_arity(checker, inst)
-    intervals, bounds_only = _LEVEL_FLAGS[level]
-    kept = list(map(list, inst))
-    if not all(kept):
+    if not all(inst):
         return INCONSISTENT
+    intervals, bounds_only = _LEVEL_FLAGS[level]
     pred = checker.predicate
+    witness: Witnesses = {}
+    if memo is not None and math.prod([d[-1] - d[0] + 1 for d in inst]) <= cap:
+        hulls = [range(d[0], d[-1] + 1) for d in inst] if intervals else None
+        valid = memo.lookup(inst if hulls is None else hulls, pred, cap)
+        if valid is not None:
+            return _table_pass(inst, memo.bits, valid, hulls, bounds_only)
+        witness = memo.witness
+    kept = list(map(list, inst))
     # The domain levels search the kept lists themselves, so a removal
     # shows in every later search.
-    hulls = [range(vs[0], vs[-1] + 1) for vs in kept]
-    lists: list[Sequence[int]] = hulls if intervals else kept
-    valid = None
-    if memo is None or math.prod(map(len, hulls)) > cap:
-        memo = _Memo(len(kept))
-    else:
-        valid = memo.lookup(lists, pred, cap)
-    bits = memo.bits
-    witness = memo.witness
+    lists: list[Sequence[int]] = [range(vs[0], vs[-1] + 1) for vs in kept] if intervals else kept
     last: Optional[Assignment] = None
 
     def searched(i: int, v: int) -> bool:
@@ -262,54 +260,91 @@ def _filter(
         witness.update(dict.fromkeys(enumerate(t), t))
         return True
 
-    while True:
-        if valid == 0:
-            return INCONSISTENT
+    moved = True
+    while moved:
         moved = False
         for i, vs in enumerate(kept):
             n = len(vs)
             # A bounds-only level scans inward from each end. The scan from
             # above stops at the supported low bound, which it need not
             # check again.
-            if valid is None:
-                if bounds_only:
-                    lo = 0
-                    while lo < n and not searched(i, vs[lo]):
-                        lo += 1
-                    hi = n - 1
-                    while hi > lo and not searched(i, vs[hi]):
-                        hi -= 1
-                    del vs[hi + 1 :]
-                    del vs[:lo]
-                else:
-                    vs[:] = [v for v in vs if searched(i, v)]
+            if bounds_only:
+                lo = 0
+                while lo < n and not searched(i, vs[lo]):
+                    lo += 1
+                hi = n - 1
+                while hi > lo and not searched(i, vs[hi]):
+                    hi -= 1
+                del vs[hi + 1 :]
+                del vs[:lo]
             else:
-                b = bits[i]
-                if bounds_only:
-                    lo = 0
-                    while lo < n and not b[vs[lo]] & valid:
-                        lo += 1
-                    hi = n - 1
-                    while hi > lo and not b[vs[hi]] & valid:
-                        hi -= 1
-                    del vs[hi + 1 :]
-                    del vs[:lo]
-                else:
-                    vs[:] = [v for v in vs if b[v] & valid]
+                vs[:] = [v for v in vs if searched(i, v)]
             if not vs:
                 return INCONSISTENT
             if intervals and len(vs) < n and lists[i] != (h := range(vs[0], vs[-1] + 1)):
                 lists[i] = h
                 moved = True
-        if not moved:
-            break
-        if valid is not None:
-            valid = _valid(bits, lists)
     if list(map(len, kept)) == list(map(len, inst)):
         return Filtered(inst)
     return Filtered(
         Instance([d if len(d) == len(vs) else Domain._from_sorted(vs) for d, vs in zip(inst, kept)])
     )
+
+
+def _table_pass(
+    inst: Instance,
+    bits: list[dict[int, int]],
+    valid: int,
+    hulls: Optional[list[range]],
+    bounds_only: bool,
+) -> FilterOutcome:
+    """`_filter`'s fixpoint from the table alone.
+
+    `valid` is the bitset of the table's solutions inside the call's
+    lists: the domains themselves, or `hulls` on the interval levels. A
+    value is supported iff some valid solution holds it,
+    `bits[i][v] & valid`. The scans are `_filter`'s, over the `Domain`s
+    of `inst`, and a domain that loses no value is kept as it is. A
+    removal leaves `valid` stale but safe: on the domain levels the value
+    removed was in no valid solution, and on the interval levels `valid`
+    goes stale only when a bound moves, which recomputes it and repeats
+    the pass.
+    """
+    doms = list(inst)
+    changed = False
+    while valid:
+        moved = False
+        for i, d in enumerate(doms):
+            b = bits[i]
+            n = len(d)
+            if bounds_only:
+                lo = 0
+                while lo < n and not b[d[lo]] & valid:
+                    lo += 1
+                if lo == n:
+                    return INCONSISTENT
+                hi = n - 1
+                while hi > lo and not b[d[hi]] & valid:
+                    hi -= 1
+                if hi - lo + 1 == n:
+                    continue
+                d = Domain._from_sorted(d[lo : hi + 1])
+            else:
+                vs = [v for v in d if b[v] & valid]
+                if len(vs) == n:
+                    continue
+                if not vs:
+                    return INCONSISTENT
+                d = Domain._from_sorted(vs)
+            doms[i] = d
+            changed = True
+            if hulls is not None and hulls[i] != (h := range(d[0], d[-1] + 1)):
+                hulls[i] = h
+                moved = True
+        if not moved:
+            return Filtered(Instance(doms)) if changed else Filtered(inst)
+        valid = _valid(bits, hulls)
+    return INCONSISTENT
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:

@@ -11,6 +11,7 @@ from propcheck import (
     generate_instance,
     shrink,
 )
+from propcheck.generator import _LANES
 
 # Published reference outputs of splitmix64 from seed 0.
 SPLITMIX64_SEED0 = [
@@ -95,9 +96,13 @@ class TestGenerateInstance:
         assert inst == Instance.of([[-1, 0, 1, 2], [-1, 1], [-2, -1]])
 
     # The first two configs draw about 700,000 candidate values each: 7 per
-    # variable at the defaults, 41 per variable at -20..20. The last two
-    # pin the ends of the threshold. The oracle draws through next_u64, so
-    # the generator's inline copy of the splitmix64 step must match it.
+    # variable at the defaults, 41 per variable at -20..20. The next two
+    # pin the ends of the threshold. The generator computes the draws in
+    # passes of at most _LANES, so the last four cross pass boundaries: a
+    # variable wider than a pass, a pass that ends inside a variable of
+    # an instance, fallbacks right after a boundary (`at_boundary`) and
+    # one instance at the 1,000,000-draw limit. The oracle draws through
+    # next_u64, so the passes must match it draw for draw.
     @pytest.mark.parametrize(
         "cfg,count",
         [
@@ -108,19 +113,31 @@ class TestGenerateInstance:
             # About 87% of domains come out empty and take the next_below
             # fallback.
             (GenConfig(density=0.02), 3_000),
+            (GenConfig(n_vars=2, value_min=0, value_max=2 * _LANES + 99, density=0.3), 20),
+            (GenConfig(n_vars=40, value_min=-20, value_max=20), 200),
+            # Each domain of 64 values comes out empty with probability
+            # about 1/4. The first pass holds the first _LANES // 64
+            # variables, so when the last of them is the first to fall
+            # back, its fallback takes the first draw of the next pass.
+            (GenConfig(n_vars=_LANES // 64 + 1, value_min=0, value_max=63, density=0.0214), 300),
+            (GenConfig(n_vars=1, value_min=-500_000, value_max=499_999), 1),
         ],
-        ids=["defaults", "wide-sparse", "full", "fallback"],
+        ids=["defaults", "wide-sparse", "full", "fallback", "wider-than-a-pass",
+             "pass-ends-inside", "fallback-at-a-boundary", "draw-limit"],
     )
     def test_same_stream_as_the_float_rule(self, cfg, count):
         # The generator as first written: one next_float() per candidate.
         candidates = range(cfg.value_min, cfg.value_max + 1)
+        fallbacks = []  # per instance, the variables that took the fallback
 
         def by_floats(rng):
             next_float, density = rng.next_float, cfg.density
             doms = []
-            for _ in range(cfg.n_vars):
+            fallbacks.append([])
+            for i in range(cfg.n_vars):
                 values = [v for v in candidates if next_float() < density]
                 if not values:
+                    fallbacks[-1].append(i)
                     values = [cfg.value_min + rng.next_below(len(candidates))]
                 doms.append(values)
             return Instance.of(doms)
@@ -128,7 +145,10 @@ class TestGenerateInstance:
         ours, oracle = SplitMix64(2026), SplitMix64(2026)
         for _ in range(count):
             assert generate_instance(ours, cfg) == by_floats(oracle)
-        assert ours.state == oracle.state
+            assert ours.state == oracle.state
+        if cfg.density == 0.0214:
+            at_boundary = [fell[:1] == [_LANES // len(candidates) - 1] for fell in fallbacks]
+            assert sum(at_boundary) >= 3
 
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=50)

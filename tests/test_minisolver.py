@@ -350,6 +350,16 @@ class TestAsFilter:
         got = as_filter(sum_equals_bc(2), 3).apply(inst)
         assert pointwise_equal(got, bound_z_filter(sum_equals(2, 3), inst))
 
+    def test_outcomes_keep_the_domains_the_solver_did_not_narrow(self):
+        rng = SplitMix64(61)
+        for recipe in (all_different_ac(), all_different_fc(), sum_equals_bc(0)):
+            f = as_filter(recipe, 5)
+            for _ in range(100):
+                inst = generate_instance(rng, GenConfig())
+                out = f.apply(inst)
+                if out is not INCONSISTENT:
+                    assert all(d is e for d, e in zip(inst, out.instance) if d == e), inst
+
 
 class TestSolverBackedStateful:
     def test_matches_snapshot_adapter_on_script(self):

@@ -594,6 +594,52 @@ def test_an_extension_enumerates_exactly_the_new_tuples_of_the_region(level):
         assert sorted(table_solutions(memo_of(f))) == solutions(checker, Instance.of(region(memo_of(f))))
 
 
+def every_instance(arity, lo, hi):
+    """Every instance of `arity` variables over non-empty subsets of lo..hi."""
+    values = range(lo, hi + 1)
+    subsets = [Domain(c) for k in range(1, len(values) + 1) for c in itertools.combinations(values, k)]
+    return [Instance(doms) for doms in itertools.product(subsets, repeat=arity)]
+
+
+def assert_shares_what_it_keeps(inst, out):
+    """An outcome that removes nothing is `inst` itself, and every domain
+    that loses no value is `inst`'s own `Domain` object."""
+    if out is INCONSISTENT:
+        return
+    if out.instance == inst:
+        assert out.instance is inst, inst
+    assert all(d is e for d, e in zip(inst, out.instance) if d == e), inst
+
+
+@pytest.mark.parametrize("arity,lo,hi", [(3, -1, 1), (2, -2, 2)])
+@pytest.mark.parametrize("capped", [False, True], ids=["growing", "capped"])
+def test_reference_filters_answer_as_the_level_functions_on_every_instance(
+    arity, lo, hi, capped
+):
+    # Filters at every level share each checker's memo, so a call lands
+    # inside a region that earlier calls grew or outside it. Under the
+    # smaller cap the region stops growing at half the box, and the calls
+    # past it are searched.
+    box = (hi - lo + 1) ** arity
+    cap = box // 2 if capped else DEFAULT_CAP
+    instances = every_instance(arity, lo, hi)
+    for checker in (
+        all_different(arity),
+        sum_equals(0, arity),
+        sum_equals(2, arity),
+        Checker(arity, lambda a: False, "false"),
+    ):
+        filters = {level: make_reference(ConsistencyLevel(level), checker, cap=cap)
+                   for level in LEVEL_FUNCS}
+        for inst in instances:
+            for level, f in filters.items():
+                out = f.apply(inst)
+                assert out == LEVEL_FUNCS[level](checker, inst, cap=cap), (inst, level, checker.name)
+                assert_shares_what_it_keeps(inst, out)
+        size = region_size(memo_of(filters["arc"]))
+        assert size <= cap < box if capped else size == box, checker.name
+
+
 def test_no_table_when_the_box_passes_the_cap():
     # Each hull product is 100, within the cap, so `low` gets a table over
     # its lists. The box of both holds 10 * 10 * 10 tuples (10 * 10 * 8 at
