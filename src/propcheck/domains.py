@@ -187,9 +187,7 @@ def is_fixed(d: Domain) -> bool:
 
 def is_leaf(o: FilterOutcome) -> bool:
     """True iff nothing remains to branch on: inconsistent, or all fixed."""
-    if o is INCONSISTENT:
-        return True
-    return all(is_fixed(d) for d in o.instance)
+    return o is INCONSISTENT or max(map(len, o.instance)) == 1
 
 
 def _check_arity(a: FilterOutcome, b: FilterOutcome) -> None:

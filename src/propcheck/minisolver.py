@@ -5,8 +5,19 @@ forward-checking and matching-based alldifferent) plus a small corpus of
 seeded bugs reachable only through an explicit `with_bug` selector. A
 variable is an index into the solver's list of immutable `Domain`s; a push
 saves a copy of that list and a pop puts it back, so backtracking restores
-domains exactly with no undo log and no cache. Propagators run on a FIFO
-queue until fixpoint.
+domains exactly with no undo log and no cache.
+
+Propagators run on a FIFO queue until fixpoint. A removal queues every
+propagator watching the variable, the one that made it included, so a
+propagator runs until a run of its own removes nothing. After a pop,
+`SolverBackedStateful` queues every propagator once more and runs the
+queue again (the pop re-check): a correct propagator removes nothing
+there, and a BUG_TRAIL_NO_RESTORE cache shows. `AllDifferentAC` returns
+at once on the very domains its last completed run left, where a run
+would remove nothing. When a pop puts back other domain objects, the pop
+re-check runs it in full, and its stale cache grows as under full runs.
+The queue, the self re-queue and the pop re-check decide at which
+operation the seeded TRAIL bugs show.
 """
 
 from __future__ import annotations
@@ -15,6 +26,8 @@ import enum
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import is_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .domains import (
@@ -122,11 +135,11 @@ class Solver:
 
     def remove_below(self, x: int, bound: int) -> bool:
         dom = self.doms[x]
-        return self.keep(x, dom[bisect_left(dom, bound) :])
+        return bound > dom[0] and self.keep(x, dom[bisect_left(dom, bound) :])
 
     def remove_above(self, x: int, bound: int) -> bool:
         dom = self.doms[x]
-        return self.keep(x, dom[: bisect_right(dom, bound)])
+        return bound < dom[-1] and self.keep(x, dom[: bisect_right(dom, bound)])
 
     def _schedule(self, p: Propagator) -> None:
         if not p.queued:
@@ -179,22 +192,17 @@ class SumEqualsBC(Propagator):
         self.total = total
 
     def propagate(self, solver: Solver) -> None:
-        stale = self.bug is BugId.BUG_TRAIL_NO_RESTORE
         reverse = self.bug is BugId.BUG_SUM_REVERSED_BOUND
-        doms = solver.doms
-        fixed = self._stale_fixed(doms) if stale else {}
-        mins, maxs = [], []
-        for i, x in enumerate(self.scope):
-            if i in fixed:
-                mins.append(fixed[i])
-                maxs.append(fixed[i])
-            else:
-                mins.append(doms[x][0])
-                maxs.append(doms[x][-1])
+        doms = [solver.doms[x] for x in self.scope]
+        mins = [d[0] for d in doms]
+        maxs = [d[-1] for d in doms]
+        if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
+            for i, v in self._stale_fixed(solver.doms).items():
+                mins[i] = maxs[i] = v
         total_min, total_max = sum(mins), sum(maxs)
-        for i, x in enumerate(self.scope):
-            others_min = total_min - mins[i]
-            others_max = total_max - maxs[i]
+        for x, own_min, own_max in zip(self.scope, mins, maxs):
+            others_min = total_min - own_min
+            others_max = total_max - own_max
             lo = self.total - others_max
             hi = self.total - others_min
             if reverse:
@@ -230,6 +238,9 @@ class AllDifferentAC(Propagator):
     alternating cycle or on an even alternating path from a free value;
     both are read from a reachability closure over the variables alone,
     where i reaches j when D(j) holds the value matched to i.
+    The rule is idempotent and never removes a matched value, so a run on
+    the very domains that the last completed run left would remove nothing
+    and keep the matching; such a run returns at once.
     With BUG_TRAIL_NO_RESTORE, the cached fixed pairs are pre-pruned from
     the other domains, which is sound during a descent but wrong after a pop.
     """
@@ -237,6 +248,7 @@ class AllDifferentAC(Propagator):
     def __init__(self, scope: list[int], bug: BugId = BugId.NONE) -> None:
         super().__init__(scope, bug)
         self._match: dict[int, int] = {}  # scope position -> matched value
+        self._left: Optional[list[Domain]] = None  # the domains the last completed run left
 
     def _repair_matching(self, doms: list[Domain]) -> dict[int, int]:
         """Repair the kept matching so it covers every domain of `doms`, the
@@ -246,6 +258,8 @@ class AllDifferentAC(Propagator):
             if match[i] not in doms[i]:
                 del match[i]
         owner = {v: i for i, v in match.items()}
+        if len(match) == len(doms):
+            return owner
 
         def augment(i: int, visited: set[int]) -> bool:
             for v in doms[i]:
@@ -265,19 +279,33 @@ class AllDifferentAC(Propagator):
         return owner
 
     def propagate(self, solver: Solver) -> None:
-        if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
-            self._prune_fixed(solver, sorted(self._stale_fixed(solver.doms).items()))
+        stale = self.bug is BugId.BUG_TRAIL_NO_RESTORE
         doms = [solver.doms[x] for x in self.scope]
+        if self._left is not None and all(map(is_, doms, self._left)):
+            if stale:
+                # The cached pairs were pruned when that run started, and
+                # GAC has since removed every fixed value from the others.
+                self._stale_fixed(solver.doms)
+            return
+        self._left = None
+        if stale:
+            self._prune_fixed(solver, sorted(self._stale_fixed(solver.doms).items()))
+            doms = [solver.doms[x] for x in self.scope]
         owner = self._repair_matching(doms)
 
         # reach[i] is the bitmask of the variables that variable i reaches,
         # i included, where i -> j when D(j) holds match[i]; node n stands
         # for every free value, so reach[n] is what the free values reach.
+        # held[j] is the bitmask of the owners of D(j)'s values.
         n = len(doms)
         reach = [1 << i for i in range(n + 1)]
+        held = []
         for j, vs in enumerate(doms):
-            for v in vs:
-                reach[owner.get(v, n)] |= 1 << j
+            bit, mask = 1 << j, 0
+            for k in map(owner.get, vs, repeat(n)):
+                reach[k] |= bit
+                mask |= 1 << k
+            held.append(mask)
         for k in range(n):  # Warshall closure
             bit, via = 1 << k, reach[k]
             for i in range(n + 1):
@@ -287,9 +315,11 @@ class AllDifferentAC(Propagator):
         # v stays in D(i) iff it is free or matched (owner k) with k on an
         # alternating cycle through i (k in reach[i]) or on an even
         # alternating path from a free value (k in reach[n]).
-        for x, vs, reached in zip(self.scope, doms, reach):
+        for x, vs, reached, owners in zip(self.scope, doms, reach, held):
             kept = reached | reach[n]
-            solver.keep(x, [v for v in vs if kept >> owner.get(v, n) & 1])
+            if owners & ~kept:
+                solver.keep(x, [v for v in vs if kept >> owner.get(v, n) & 1])
+        self._left = [solver.doms[x] for x in self.scope]
 
 
 class RecipeKind(NamedTuple):
@@ -327,8 +357,10 @@ class Recipe:
 
     def build(self, solver: Solver, scope: list[int]) -> None:
         kind = RECIPES[self.kind]
-        args = (self.total, scope) if kind.needs_total else (scope,)
-        solver.post(kind.propagator(*args, self.bug))
+        if kind.needs_total:
+            solver.post(kind.propagator(self.total, scope, self.bug))
+        else:
+            solver.post(kind.propagator(scope, self.bug))
 
 
 def sum_equals_bc(total: int) -> Recipe:
@@ -357,7 +389,7 @@ def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:
     """A fresh solver over `inst` with `recipe` posted; None when the root fails."""
     if inst.arity != arity:
         raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
-    if any(d.is_empty() for d in inst):
+    if not all(inst):
         return None
     solver = Solver()
     scope = [solver.int_var(d) for d in inst]

@@ -22,7 +22,6 @@ from .domains import (
     Filtered,
     FilterOutcome,
     Instance,
-    is_fixed,
     is_leaf,
     pointwise_equal,
 )
@@ -90,7 +89,7 @@ def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
 
 def random_restriction(rng: SplitMix64, inst: Instance) -> RestrictDomain:
     """Uniform restriction on an unfixed variable, constant from its domain."""
-    unfixed = [i for i, d in enumerate(inst.domains) if not is_fixed(d)]
+    unfixed = [i for i, size in enumerate(map(len, inst)) if size > 1]
     if not unfixed:
         raise ContractViolationError("random_restriction needs an unfixed domain")
     index = unfixed[rng.next_below(len(unfixed))]
@@ -158,11 +157,14 @@ class DiveConfig:
             raise ValueError("max_depth must be >= 1")
 
 
-def _tested_outcome(call: Callable[[], FilterOutcome]) -> FilterOutcome:
-    """A raising subject is recorded as claiming inconsistency; a broken
-    contract or an exceeded cap is not the subject's answer and propagates."""
+def _tested_outcome(
+    call: Callable[..., FilterOutcome], arg: Union[Instance, BranchOp]
+) -> FilterOutcome:
+    """`call(arg)`, where a raising subject is recorded as claiming
+    inconsistency; a broken contract or an exceeded cap is not the
+    subject's answer and propagates."""
     try:
-        return call()
+        return call(arg)
     except (ContractViolationError, EnumerationCapExceeded):
         raise
     except Exception:
@@ -184,14 +186,10 @@ def _first_difference(
     transcript ends with the operation it appeared at, or None."""
     transcript: list[BranchOp] = []
     op: Optional[BranchOp] = None
+    trusted_out = trusted.setup(root)
+    tested_out = _tested_outcome(tested.setup, root)
+    trusted_step, tested_step = trusted.branch_and_filter, tested.branch_and_filter
     while True:
-        if op is None:
-            trusted_out = trusted.setup(root)
-            tested_out = _tested_outcome(lambda: tested.setup(root))
-        else:
-            transcript.append(op)
-            trusted_out = trusted.branch_and_filter(op)
-            tested_out = _tested_outcome(lambda: tested.branch_and_filter(op))
         if not pointwise_equal(trusted_out, tested_out):
             return Failure(
                 original=root,
@@ -204,6 +202,9 @@ def _first_difference(
         op = next_op(trusted_out)
         if op is None:
             return None
+        transcript.append(op)
+        trusted_out = trusted_step(op)
+        tested_out = _tested_outcome(tested_step, op)
 
 
 def replay(

@@ -153,6 +153,30 @@ class TestTrail:
         solver.pop_state()
         assert solver.doms[y] == (7, 8)
 
+    @pytest.mark.parametrize(
+        "remove, bound", [("remove_below", 2), ("remove_below", -5), ("remove_above", 4),
+                          ("remove_above", 9)],
+    )
+    def test_a_bound_that_removes_nothing_queues_nothing(self, remove, bound):
+        solver, scope = solver_with([[2, 3, 4], [1, 5]])
+        watcher = SumEqualsBC(7, scope)
+        solver.post(watcher)
+        dom = solver.doms[0]
+        assert getattr(solver, remove)(0, bound) is False
+        assert solver.doms[0] is dom
+        assert not watcher.queued and not solver._queue
+
+    @pytest.mark.parametrize("remove, bound", [("remove_below", 5), ("remove_above", 1)])
+    def test_an_emptying_bound_leaves_the_domain_as_it_was(self, remove, bound):
+        solver, scope = solver_with([[2, 3, 4], [1, 5]])
+        watcher = SumEqualsBC(7, scope)
+        solver.post(watcher)
+        dom = solver.doms[0]
+        with pytest.raises(Inconsistency):
+            getattr(solver, remove)(0, bound)
+        assert solver.doms[0] is dom
+        assert not watcher.queued
+
 
 class TestSumEqualsBC:
     def test_raises_lower_bound(self):
@@ -191,6 +215,23 @@ class TestAllDifferentFC:
         assert domains_of(solver, scope) == [[1, 2], [1, 2], [1, 2, 3]]
 
 
+class CountingAC(AllDifferentAC):
+    """AllDifferentAC that counts its full runs: each repairs the matching."""
+
+    repairs = 0
+
+    def _repair_matching(self, doms):
+        self.repairs += 1
+        return super()._repair_matching(doms)
+
+
+class AlwaysFullAC(CountingAC):
+    """AllDifferentAC that never remembers the domains it left, so every
+    run is a full run."""
+
+    _left = property(lambda self: None, lambda self, value: None)
+
+
 class TestAllDifferentAC:
     def test_regin_example(self):
         solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
@@ -213,6 +254,97 @@ class TestAllDifferentAC:
         solver.schedule_all()
         solver.fixpoint()
         assert domains_of(solver, scope) == [[1, 2, 3]] * 3
+
+    def test_no_full_run_at_its_own_fixpoint(self):
+        solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
+        ac = CountingAC(scope)
+        solver.post(ac)  # pruning x2 re-queues it on the domains it left
+        assert domains_of(solver, scope) == [[1, 2], [1, 2], [3]]
+        assert ac.repairs == 1
+        solver.schedule_all()
+        solver.fixpoint()
+        assert ac.repairs == 1
+
+    def test_full_run_after_a_pop_that_restores_other_domains(self):
+        solver, scope = solver_with([[1, 2, 3]] * 3)
+        ac = CountingAC(scope)
+        solver.post(ac)
+        solver.push_state()
+        solver.keep(scope[0], (1,))
+        solver.fixpoint()
+        assert ac.repairs == 2
+        solver.pop_state()
+        solver.schedule_all()
+        solver.fixpoint()
+        assert ac.repairs == 3
+        assert domains_of(solver, scope) == [[1, 2, 3]] * 3
+
+    def test_full_run_after_a_run_that_raised(self):
+        solver, scope = solver_with([[1, 2], [1, 2, 3], [1, 2, 3]])
+        ac = CountingAC(scope)
+        solver.post(ac)
+        left = solver.doms.copy()
+        solver.push_state()
+        solver.keep(scope[1], (1,))
+        solver.keep(scope[2], (2,))
+        with pytest.raises(Inconsistency):
+            solver.fixpoint()
+        assert ac.repairs == 2
+        solver.pop_state()
+        # The very domains the last completed run left, but the failed run
+        # since then has moved the matching.
+        assert all(map(lambda a, b: a is b, solver.doms, left))
+        solver.schedule_all()
+        solver.fixpoint()
+        assert ac.repairs == 3
+        assert domains_of(solver, scope) == [[1, 2], [1, 2, 3], [1, 2, 3]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trail_bug_cache_grows_as_under_full_runs(self, seed):
+        # The early return still adds the variables fixed now to the
+        # unrestored cache, so the stale cache, and with it the bug, is
+        # the same as when every run is a full run.
+        root = generate_instance(SplitMix64(seed), GenConfig(n_vars=5, value_min=0, value_max=5))
+
+        def drive(cls):
+            solver, scope = solver_with(root)
+            ac = cls(scope, BugId.BUG_TRAIL_NO_RESTORE)
+            rng = SplitMix64(seed)
+            states = []
+            try:
+                solver.post(ac)
+            except Inconsistency:
+                return [], ac
+            for _ in range(60):
+                unfixed = [x for x in scope if len(solver.doms[x]) > 1]
+                if solver.depth() and (not unfixed or rng.next_below(3) == 0):
+                    solver.pop_state()
+                    solver.schedule_all()
+                elif unfixed:
+                    x = unfixed[rng.next_below(len(unfixed))]
+                    solver.push_state()
+                    solver.remove_value(x, solver.doms[x][rng.next_below(len(solver.doms[x]))])
+                try:
+                    solver.fixpoint()
+                    states.append((solver.doms.copy(), dict(ac._seen_fixed)))
+                except Inconsistency:
+                    states.append(("inconsistent", dict(ac._seen_fixed)))
+            return states, ac
+
+        early, early_ac = drive(CountingAC)
+        full, full_ac = drive(AlwaysFullAC)
+        assert early == full
+        assert early_ac.repairs < full_ac.repairs
+
+    def test_trail_bug_cache_after_an_early_return(self):
+        # x1 and x2 become fixed during the first run, after its cache
+        # update; the run on the domains it left adds them all the same.
+        solver, scope = solver_with([[1], [1, 2], [1, 2, 3]])
+        ac = CountingAC(scope, BugId.BUG_TRAIL_NO_RESTORE)
+        solver.post(ac)
+        assert ac.repairs == 1
+        assert domains_of(solver, scope) == [[1], [2], [3]]
+        assert ac._seen_fixed == {0: 1, 1: 2, 2: 3}
 
     @pytest.mark.parametrize(
         "doms,expected",
