@@ -636,3 +636,27 @@ def test_solver_campaign_outputs_are_pinned(capsys):
             code = cli_main([*argv, "--seed", str(seed)])
             digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == _PINNED_DIGEST
+
+
+_PINNED_RUNS = "0bc33b4ecf0a747587501206cde8b3d6586fc5b438ee6f3261e461298a622b16"
+
+
+def test_solver_propagator_runs_are_pinned(monkeypatch, capsys):
+    """One sha256 over every propagator run of the pinned campaigns at
+    seeds 0-24: the propagator's class, the solver's depth and the domains
+    at entry. A change to the propagation engine must run the propagators
+    exactly as the one it replaces, in the same order and on the same
+    domains."""
+    digest = hashlib.sha256()
+    for cls in (SumEqualsBC, AllDifferentFC, AllDifferentAC):
+
+        def recorded(self, solver, propagate=cls.propagate):
+            digest.update(f"{type(self).__name__} {solver.depth()} {solver.doms}\n".encode())
+            propagate(self, solver)
+
+        monkeypatch.setattr(cls, "propagate", recorded)
+    for argv in _PINNED_CAMPAIGNS:
+        for seed in range(25):
+            cli_main([*argv, "--seed", str(seed)])
+    capsys.readouterr()
+    assert digest.hexdigest() == _PINNED_RUNS
