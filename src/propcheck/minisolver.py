@@ -7,24 +7,22 @@ variable is an index into the solver's list of immutable `Domain`s; a push
 saves a copy of that list and a pop puts it back, so backtracking restores
 domains exactly with no undo log and no cache.
 
-Propagators run on a FIFO queue until fixpoint. A removal queues every
-propagator watching the variable, the one that made it included, so a
-propagator runs until a run of its own removes nothing. After a pop,
-`SolverBackedStateful` queues every propagator once more and runs the
-queue again (the pop re-check): a correct propagator removes nothing
-there, and a BUG_TRAIL_NO_RESTORE cache shows. `AllDifferentAC` returns
-at once on the very domains its last completed run left, where a run
-would remove nothing. When a pop puts back other domain objects, the pop
-re-check runs it in full, and its stale cache grows as under full runs.
-The queue, the self re-queue and the pop re-check decide at which
-operation the seeded TRAIL bugs show.
+A solver holds one propagator, since the harness tests one constraint at
+a time, and runs it to its own fixpoint: again after each run that
+removed a value, until a run removes nothing. A restriction that removes
+a value starts that loop. After a pop, `SolverBackedStateful` starts it
+once more (the pop re-check): a correct propagator removes nothing there,
+and a BUG_TRAIL_NO_RESTORE cache shows. `AllDifferentAC` returns at once
+on the very domains its last completed run left, where a run would remove
+nothing. When a pop puts back other domain objects, the pop re-check runs
+it in full, and its stale cache grows as under full runs. The re-run loop
+and the pop re-check decide at which operation the seeded TRAIL bugs show.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import is_
@@ -65,16 +63,14 @@ class Propagator:
     def __init__(self, scope: list[int], bug: BugId = BugId.NONE) -> None:
         self.scope = scope
         self.bug = bug
-        self.queued = False
         self._seen_fixed: dict[int, int] = {}  # deliberately not restored on pop
 
     def propagate(self, solver: "Solver") -> None:
         """One sweep of the filtering rule over `solver.doms`, removing
         values through the solver.
 
-        It need not reach its own fixpoint: every removal re-queues the
-        propagators watching the variable, this one included, and the
-        solver's FIFO queue runs them until nothing changes.
+        It need not reach its own fixpoint: `Solver.fixpoint` runs it again
+        until a run of its own removes nothing.
         """
         raise NotImplementedError
 
@@ -96,16 +92,15 @@ class Propagator:
 
 
 class Solver:
-    """Single-owner micro-solver. A variable is an index into `doms`, the
-    current domain of each variable, and into `watchers`, the propagators
-    over it. A push saves a copy of `doms` and a pop puts it back; the
-    propagators run on a FIFO queue until fixpoint."""
+    """Single-owner micro-solver over one propagator. A variable is an index
+    into `doms`, the current domain of each variable. A push saves a copy of
+    `doms` and a pop puts it back; `fixpoint` runs the propagator until a
+    run of its own removes nothing."""
 
     def __init__(self) -> None:
         self.doms: list[Domain] = []
-        self.watchers: list[list[Propagator]] = []
-        self.propagators: list[Propagator] = []
-        self._queue: deque[Propagator] = deque()
+        self.propagator: Optional[Propagator] = None
+        self._removed = False  # set by every removal
         self._saved: list[list[Domain]] = []  # the domains at each open push
 
     def int_var(self, values: Iterable[int]) -> int:
@@ -113,7 +108,6 @@ class Solver:
         if not dom:
             raise ValueError("a solver variable needs a non-empty domain")
         self.doms.append(dom)
-        self.watchers.append([])
         return len(self.doms) - 1
 
     def keep(self, x: int, kept: Sequence[int]) -> bool:
@@ -125,8 +119,7 @@ class Solver:
         if not kept:
             raise Inconsistency(f"domain of x{x} emptied")
         self.doms[x] = Domain._from_sorted(kept)
-        for p in self.watchers[x]:
-            self._schedule(p)
+        self._removed = True
         return True
 
     def remove_value(self, x: int, v: int) -> bool:
@@ -141,32 +134,18 @@ class Solver:
         dom = self.doms[x]
         return bound < dom[-1] and self.keep(x, dom[: bisect_right(dom, bound)])
 
-    def _schedule(self, p: Propagator) -> None:
-        if not p.queued:
-            p.queued = True
-            self._queue.append(p)
-
-    def schedule_all(self) -> None:
-        for p in self.propagators:
-            self._schedule(p)
-
     def post(self, p: Propagator) -> None:
-        self.propagators.append(p)
-        for x in p.scope:
-            self.watchers[x].append(p)
-        self._schedule(p)
+        if self.propagator is not None:
+            raise ContractViolationError("a solver holds one propagator")
+        self.propagator = p
         self.fixpoint()
 
     def fixpoint(self) -> None:
-        try:
-            while self._queue:
-                p = self._queue.popleft()
-                p.queued = False
-                p.propagate(self)
-        except Inconsistency:
-            while self._queue:
-                self._queue.pop().queued = False
-            raise
+        """Run the propagator, and again while its last run removed a value."""
+        self._removed = True
+        while self._removed:
+            self._removed = False
+            self.propagator.propagate(self)
 
     def depth(self) -> int:
         return len(self._saved)
@@ -418,8 +397,9 @@ def as_filter(recipe: Recipe, arity: int) -> Filter:
 class SolverBackedStateful(FilterWithState):
     """FilterWithState over a fresh solver. A push or pop is the solver's;
     a restriction keeps the values that `stateful.restricted` keeps, the
-    rule the snapshot adapter applies too. A propagation fixpoint follows
-    each restriction and each pop."""
+    rule the snapshot adapter applies too. The propagator runs to its
+    fixpoint after each restriction that removes a value, and after each
+    pop that leaves no failed frame open (the pop re-check)."""
 
     def __init__(self, recipe: Recipe, arity: int) -> None:
         self._recipe = recipe
@@ -451,14 +431,13 @@ class SolverBackedStateful(FilterWithState):
                 # Re-reaching the fixpoint is a no-op for well-behaved
                 # propagators; stale internal state surfaces here.
                 try:
-                    solver.schedule_all()
                     solver.fixpoint()
                 except Inconsistency:
                     self._failed_at = solver.depth()
         elif self._failed_at is None:
             try:
-                solver.keep(op.index, restricted(solver.doms, op))
-                solver.fixpoint()
+                if solver.keep(op.index, restricted(solver.doms, op)):
+                    solver.fixpoint()
             except Inconsistency:
                 self._failed_at = solver.depth()
         return INCONSISTENT if self._failed_at is not None else _outcome(solver)

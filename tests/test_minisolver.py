@@ -43,6 +43,7 @@ from propcheck import (
     with_bug,
 )
 from propcheck.cli import main as cli_main
+from propcheck.minisolver import RECIPES
 from propcheck.stateful import restricted
 
 
@@ -97,12 +98,10 @@ class TestTrail:
 
     def test_removing_an_absent_value_changes_nothing(self):
         solver, scope = solver_with([[1, 3], [1, 2, 3]])
-        watcher = AllDifferentFC(scope)
-        solver.post(watcher)
+        solver.post(AllDifferentFC(scope))
         dom = solver.doms[0]
         assert solver.remove_value(0, 2) is False
         assert solver.doms[0] is dom
-        assert not watcher.queued
 
     def test_assign_outside_domain(self):
         solver, (x,) = solver_with([[1, 2]])
@@ -158,24 +157,27 @@ class TestTrail:
                           ("remove_above", 9)],
     )
     def test_a_bound_that_removes_nothing_queues_nothing(self, remove, bound):
+        # It answers False, so the solver-backed subject runs no propagator.
         solver, scope = solver_with([[2, 3, 4], [1, 5]])
-        watcher = SumEqualsBC(7, scope)
-        solver.post(watcher)
+        solver.post(SumEqualsBC(7, scope))
         dom = solver.doms[0]
         assert getattr(solver, remove)(0, bound) is False
         assert solver.doms[0] is dom
-        assert not watcher.queued and not solver._queue
 
     @pytest.mark.parametrize("remove, bound", [("remove_below", 5), ("remove_above", 1)])
     def test_an_emptying_bound_leaves_the_domain_as_it_was(self, remove, bound):
         solver, scope = solver_with([[2, 3, 4], [1, 5]])
-        watcher = SumEqualsBC(7, scope)
-        solver.post(watcher)
+        solver.post(SumEqualsBC(7, scope))
         dom = solver.doms[0]
         with pytest.raises(Inconsistency):
             getattr(solver, remove)(0, bound)
         assert solver.doms[0] is dom
-        assert not watcher.queued
+
+    def test_a_second_post_is_rejected(self):
+        solver, scope = solver_with([[1, 2], [1, 2]])
+        solver.post(SumEqualsBC(3, scope))
+        with pytest.raises(ContractViolationError, match="one propagator"):
+            solver.post(AllDifferentFC(scope))
 
 
 class TestSumEqualsBC:
@@ -251,17 +253,15 @@ class TestAllDifferentAC:
         solver.fixpoint()
         assert domains_of(solver, scope) == [[1], [2, 3], [2, 3]]
         solver.pop_state()
-        solver.schedule_all()
         solver.fixpoint()
         assert domains_of(solver, scope) == [[1, 2, 3]] * 3
 
     def test_no_full_run_at_its_own_fixpoint(self):
         solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
         ac = CountingAC(scope)
-        solver.post(ac)  # pruning x2 re-queues it on the domains it left
+        solver.post(ac)  # pruning x2 runs it again on the domains it left
         assert domains_of(solver, scope) == [[1, 2], [1, 2], [3]]
         assert ac.repairs == 1
-        solver.schedule_all()
         solver.fixpoint()
         assert ac.repairs == 1
 
@@ -274,7 +274,6 @@ class TestAllDifferentAC:
         solver.fixpoint()
         assert ac.repairs == 2
         solver.pop_state()
-        solver.schedule_all()
         solver.fixpoint()
         assert ac.repairs == 3
         assert domains_of(solver, scope) == [[1, 2, 3]] * 3
@@ -294,7 +293,6 @@ class TestAllDifferentAC:
         # The very domains the last completed run left, but the failed run
         # since then has moved the matching.
         assert all(map(lambda a, b: a is b, solver.doms, left))
-        solver.schedule_all()
         solver.fixpoint()
         assert ac.repairs == 3
         assert domains_of(solver, scope) == [[1, 2], [1, 2, 3], [1, 2, 3]]
@@ -317,15 +315,15 @@ class TestAllDifferentAC:
                 return [], ac
             for _ in range(60):
                 unfixed = [x for x in scope if len(solver.doms[x]) > 1]
-                if solver.depth() and (not unfixed or rng.next_below(3) == 0):
-                    solver.pop_state()
-                    solver.schedule_all()
-                elif unfixed:
-                    x = unfixed[rng.next_below(len(unfixed))]
-                    solver.push_state()
-                    solver.remove_value(x, solver.doms[x][rng.next_below(len(solver.doms[x]))])
                 try:
-                    solver.fixpoint()
+                    if solver.depth() and (not unfixed or rng.next_below(3) == 0):
+                        solver.pop_state()
+                        solver.fixpoint()
+                    elif unfixed:
+                        x = unfixed[rng.next_below(len(unfixed))]
+                        solver.push_state()
+                        solver.remove_value(x, solver.doms[x][rng.next_below(len(solver.doms[x]))])
+                        solver.fixpoint()
                     states.append((solver.doms.copy(), dict(ac._seen_fixed)))
                 except Inconsistency:
                     states.append(("inconsistent", dict(ac._seen_fixed)))
@@ -393,24 +391,6 @@ class TestAllDifferentAC:
         ac = as_filter(all_different_ac(), 4).apply(inst)
         fc = as_filter(all_different_fc(), 4).apply(inst)
         assert pointwise_subset(ac, fc)
-
-
-class TestPostOrder:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_both_post_orders_reach_same_fixpoint(self, seed):
-        cfg = GenConfig(n_vars=3, value_min=-2, value_max=2, seed=seed + 30)
-        inst = generate_instance(SplitMix64(seed + 30), cfg)
-        results = []
-        for sum_first in (True, False):
-            solver, scope = solver_with([d.values for d in inst.domains])
-            propagators = [SumEqualsBC(0, scope), AllDifferentFC(scope)]
-            try:
-                for p in propagators if sum_first else reversed(propagators):
-                    solver.post(p)
-                results.append(domains_of(solver, scope))
-            except Inconsistency:
-                results.append(None)
-        assert results[0] == results[1]
 
 
 class TestRecipes:
@@ -495,7 +475,48 @@ class TestAsFilter:
                     assert all(d is e for d, e in zip(inst, out.instance) if d == e), inst
 
 
+class CountingSum(SumEqualsBC):
+    """SumEqualsBC that counts the runs of all its instances."""
+
+    runs = 0
+
+    def propagate(self, solver):
+        CountingSum.runs += 1
+        super().propagate(solver)
+
+
+@pytest.fixture
+def counting_sum_bc(monkeypatch):
+    """Make the `sum-bc` recipe post a CountingSum, with the count at 0."""
+    monkeypatch.setattr(CountingSum, "runs", 0)
+    monkeypatch.setitem(RECIPES, "sum-bc", RECIPES["sum-bc"]._replace(propagator=CountingSum))
+    return CountingSum
+
+
 class TestSolverBackedStateful:
+    def test_a_restriction_that_removes_nothing_runs_no_propagator(self, counting_sum_bc):
+        subject = as_filter_with_state(sum_equals_bc(6), 3)
+        root = subject.setup(Instance.of([[1, 2, 3]] * 3))
+        runs = counting_sum_bc.runs
+        subject.branch_and_filter(PUSH)
+        for op in (RestrictDomain(0, "!=", 5), RestrictDomain(0, "<", 9),
+                   RestrictDomain(1, ">", 0)):
+            assert subject.branch_and_filter(op) == root, op
+        assert counting_sum_bc.runs == runs
+        subject.branch_and_filter(RestrictDomain(0, "=", 1))
+        assert counting_sum_bc.runs > runs
+
+    def test_a_pop_runs_the_propagator_again(self, counting_sum_bc):
+        subject = as_filter_with_state(sum_equals_bc(6), 3)
+        root = subject.setup(Instance.of([[1, 2, 3]] * 3))
+        for ops in ([PUSH], [PUSH, RestrictDomain(0, "=", 1)]):
+            for op in ops:
+                subject.branch_and_filter(op)
+            runs = counting_sum_bc.runs
+            assert subject.branch_and_filter(POP) == root
+            # A correct propagator removes nothing there, so it runs once.
+            assert counting_sum_bc.runs == runs + 1
+
     def test_matches_snapshot_adapter_on_script(self):
         from propcheck import IncrementalFiltering, make_reference
 
