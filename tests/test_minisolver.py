@@ -32,6 +32,7 @@ from propcheck import (
     as_filter,
     as_filter_with_state,
     bound_z_filter,
+    check,
     dives,
     generate_instance,
     make_reference,
@@ -681,3 +682,20 @@ def test_solver_propagator_runs_are_pinned(monkeypatch, capsys):
             cli_main([*argv, "--seed", str(seed)])
     capsys.readouterr()
     assert digest.hexdigest() == _PINNED_RUNS
+
+
+_PINNED_FC = "32854b47b05727d2cbef51807c7bbaac81ae46dd344fa0d82471269078af762a"
+
+
+def test_forward_checking_bug_reports_are_pinned():
+    """One sha256 over the static `check` report of forward checking
+    against each of its seeded bugs at seeds 0-149. No pinned campaign runs
+    the static forward-checking pairs, and SKIP_LAST picks its unpruned
+    variable by position."""
+    digest = hashlib.sha256()
+    for bug in (BugId.BUG_ALLDIFF_FC_SKIP_LAST, BugId.BUG_TRAIL_NO_RESTORE):
+        tested = as_filter(with_bug(bug, all_different_fc()), 5)
+        for seed in range(150):
+            report = check(as_filter(all_different_fc(), 5), tested, GenConfig(seed=seed))
+            digest.update(f"{report!r}\n".encode())
+    assert digest.hexdigest() == _PINNED_FC
