@@ -2,21 +2,23 @@
 
 It provides realistic stateful propagators (bounds-consistent sum,
 forward-checking and matching-based alldifferent) plus a small corpus of
-seeded bugs reachable only through an explicit `with_bug` selector. A
-variable is an index into the solver's list of immutable `Domain`s; a push
-saves a copy of that list and a pop puts it back, so backtracking restores
-domains exactly with no undo log and no cache.
+seeded bugs reachable only through an explicit `with_bug` selector.
 
-A solver holds one propagator, since the harness tests one constraint at
-a time, and runs it to its own fixpoint: again after each run that
-removed a value, until a run removes nothing. A restriction that removes
-a value starts that loop. After a pop, `SolverBackedStateful` starts it
-once more (the pop re-check): a correct propagator removes nothing there,
-and a BUG_TRAIL_NO_RESTORE cache shows. `AllDifferentAC` returns at once
-on the very domains its last completed run left, where a run would remove
-nothing. When a pop puts back other domain objects, the pop re-check runs
-it in full, and its stale cache grows as under full runs. The re-run loop
-and the pop re-check decide at which operation the seeded TRAIL bugs show.
+A solver is an instance's domains plus one propagator over all of its
+variables, since the harness tests one constraint at a time. A variable
+is a position in the solver's list of immutable `Domain`s; a push saves
+a copy of that list and a pop puts it back, so backtracking restores
+domains exactly with no undo log and no cache. Building a solver runs
+nothing; `fixpoint` runs the propagator to its own fixpoint: again after
+each run that removed a value, until a run removes nothing. A
+restriction that removes a value starts that loop. After a pop,
+`SolverBackedStateful` starts it once more (the pop re-check): a correct
+propagator removes nothing there, and a BUG_TRAIL_NO_RESTORE cache shows.
+`AllDifferentAC` returns at once on the very domains its last completed
+run left, where a run would remove nothing. When a pop puts back other
+domain objects, the pop re-check runs it in full, and its stale cache
+grows as under full runs. The re-run loop and the pop re-check decide at
+which operation the seeded TRAIL bugs show.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import is_
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .domains import (
     INCONSISTENT,
@@ -52,16 +54,15 @@ class BugId(enum.Enum):
 
 
 class Propagator:
-    """Contracting filtering procedure over a scope of solver variables,
-    given as their indices.
+    """Contracting filtering procedure over every variable of its solver,
+    reading and writing the positions of `solver.doms`.
 
     With BUG_TRAIL_NO_RESTORE, a propagator remembers every fixed
-    (scope position, value) pair it has seen in a cache that a pop does not
+    (position, value) pair it has seen in a cache that a pop does not
     restore, so the cache goes stale after a pop.
     """
 
-    def __init__(self, scope: list[int], bug: BugId = BugId.NONE) -> None:
-        self.scope = scope
+    def __init__(self, bug: BugId = BugId.NONE) -> None:
         self.bug = bug
         self._seen_fixed: dict[int, int] = {}  # deliberately not restored on pop
 
@@ -76,9 +77,9 @@ class Propagator:
 
     def _stale_fixed(self, doms: list[Domain]) -> dict[int, int]:
         """Add the variables fixed now to the unrestored cache and return it."""
-        for i, x in enumerate(self.scope):
-            if i not in self._seen_fixed and len(doms[x]) == 1:
-                self._seen_fixed[i] = doms[x][0]
+        for i, d in enumerate(doms):
+            if i not in self._seen_fixed and len(d) == 1:
+                self._seen_fixed[i] = d[0]
         return self._seen_fixed
 
     def _prune_fixed(
@@ -86,29 +87,25 @@ class Propagator:
     ) -> None:
         """Remove each fixed pair's value from the other variables except `skip`."""
         for i, value in pairs:
-            for j, x in enumerate(self.scope):
+            for j in range(len(solver.doms)):
                 if j != i and j != skip:
-                    solver.remove_value(x, value)
+                    solver.remove_value(j, value)
 
 
 class Solver:
-    """Single-owner micro-solver over one propagator. A variable is an index
-    into `doms`, the current domain of each variable. A push saves a copy of
-    `doms` and a pop puts it back; `fixpoint` runs the propagator until a
-    run of its own removes nothing."""
+    """Single-owner micro-solver: the current domain of each variable in
+    `doms`, a variable being its position there, and one propagator over
+    all of them. Building one runs nothing. A push saves a copy of `doms`
+    and a pop puts it back; `fixpoint` runs the propagator until a run of
+    its own removes nothing."""
 
-    def __init__(self) -> None:
-        self.doms: list[Domain] = []
-        self.propagator: Optional[Propagator] = None
+    def __init__(self, domains: Sequence[Domain], propagator: Propagator) -> None:
+        if not all(domains):
+            raise ValueError("a solver variable needs a non-empty domain")
+        self.doms = list(domains)
+        self.propagator = propagator
         self._removed = False  # set by every removal
         self._saved: list[list[Domain]] = []  # the domains at each open push
-
-    def int_var(self, values: Iterable[int]) -> int:
-        dom = values if isinstance(values, Domain) else Domain(values)
-        if not dom:
-            raise ValueError("a solver variable needs a non-empty domain")
-        self.doms.append(dom)
-        return len(self.doms) - 1
 
     def keep(self, x: int, kept: Sequence[int]) -> bool:
         """Narrow D(x) to `kept`, a sorted sub-sequence of it; True iff a
@@ -133,12 +130,6 @@ class Solver:
     def remove_above(self, x: int, bound: int) -> bool:
         dom = self.doms[x]
         return bound < dom[-1] and self.keep(x, dom[: bisect_right(dom, bound)])
-
-    def post(self, p: Propagator) -> None:
-        if self.propagator is not None:
-            raise ContractViolationError("a solver holds one propagator")
-        self.propagator = p
-        self.fixpoint()
 
     def fixpoint(self) -> None:
         """Run the propagator, and again while its last run removed a value."""
@@ -166,20 +157,19 @@ class SumEqualsBC(Propagator):
     the bounds sums, also after a pop.
     """
 
-    def __init__(self, total: int, scope: list[int], bug: BugId = BugId.NONE) -> None:
-        super().__init__(scope, bug)
+    def __init__(self, total: int, bug: BugId = BugId.NONE) -> None:
+        super().__init__(bug)
         self.total = total
 
     def propagate(self, solver: Solver) -> None:
         reverse = self.bug is BugId.BUG_SUM_REVERSED_BOUND
-        doms = [solver.doms[x] for x in self.scope]
-        mins = [d[0] for d in doms]
-        maxs = [d[-1] for d in doms]
+        mins = [d[0] for d in solver.doms]
+        maxs = [d[-1] for d in solver.doms]
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
             for i, v in self._stale_fixed(solver.doms).items():
                 mins[i] = maxs[i] = v
         total_min, total_max = sum(mins), sum(maxs)
-        for x, own_min, own_max in zip(self.scope, mins, maxs):
+        for x, (own_min, own_max) in enumerate(zip(mins, maxs)):
             others_min = total_min - own_min
             others_max = total_max - own_max
             lo = self.total - others_max
@@ -201,10 +191,10 @@ class AllDifferentFC(Propagator):
     def _fixed_pairs(self, doms: list[Domain]) -> list[tuple[int, int]]:
         if self.bug is BugId.BUG_TRAIL_NO_RESTORE:
             return sorted(self._stale_fixed(doms).items())
-        return [(i, doms[x][0]) for i, x in enumerate(self.scope) if len(doms[x]) == 1]
+        return [(i, d[0]) for i, d in enumerate(doms) if len(d) == 1]
 
     def propagate(self, solver: Solver) -> None:
-        skip = len(self.scope) - 1 if self.bug is BugId.BUG_ALLDIFF_FC_SKIP_LAST else None
+        skip = len(solver.doms) - 1 if self.bug is BugId.BUG_ALLDIFF_FC_SKIP_LAST else None
         self._prune_fixed(solver, self._fixed_pairs(solver.doms), skip)
 
 
@@ -224,14 +214,14 @@ class AllDifferentAC(Propagator):
     the other domains, which is sound during a descent but wrong after a pop.
     """
 
-    def __init__(self, scope: list[int], bug: BugId = BugId.NONE) -> None:
-        super().__init__(scope, bug)
-        self._match: dict[int, int] = {}  # scope position -> matched value
+    def __init__(self, bug: BugId = BugId.NONE) -> None:
+        super().__init__(bug)
+        self._match: dict[int, int] = {}  # position -> matched value
         self._left: Optional[list[Domain]] = None  # the domains the last completed run left
 
     def _repair_matching(self, doms: list[Domain]) -> dict[int, int]:
-        """Repair the kept matching so it covers every domain of `doms`, the
-        scope's; return its inverse, the scope position of each matched value."""
+        """Repair the kept matching so it covers every domain of `doms`;
+        return its inverse, the position of each matched value."""
         match = self._match
         for i in list(match):
             if match[i] not in doms[i]:
@@ -259,7 +249,7 @@ class AllDifferentAC(Propagator):
 
     def propagate(self, solver: Solver) -> None:
         stale = self.bug is BugId.BUG_TRAIL_NO_RESTORE
-        doms = [solver.doms[x] for x in self.scope]
+        doms = solver.doms
         if self._left is not None and all(map(is_, doms, self._left)):
             if stale:
                 # The cached pairs were pruned when that run started, and
@@ -268,8 +258,7 @@ class AllDifferentAC(Propagator):
             return
         self._left = None
         if stale:
-            self._prune_fixed(solver, sorted(self._stale_fixed(solver.doms).items()))
-            doms = [solver.doms[x] for x in self.scope]
+            self._prune_fixed(solver, sorted(self._stale_fixed(doms).items()))
         owner = self._repair_matching(doms)
 
         # reach[i] is the bitmask of the variables that variable i reaches,
@@ -294,11 +283,11 @@ class AllDifferentAC(Propagator):
         # v stays in D(i) iff it is free or matched (owner k) with k on an
         # alternating cycle through i (k in reach[i]) or on an even
         # alternating path from a free value (k in reach[n]).
-        for x, vs, reached, owners in zip(self.scope, doms, reach, held):
+        for x, (vs, reached, owners) in enumerate(zip(doms, reach, held)):
             kept = reached | reach[n]
             if owners & ~kept:
                 solver.keep(x, [v for v in vs if kept >> owner.get(v, n) & 1])
-        self._left = [solver.doms[x] for x in self.scope]
+        self._left = doms.copy()
 
 
 class RecipeKind(NamedTuple):
@@ -334,12 +323,11 @@ class Recipe:
             return self.name
         return f"{self.name}+bug:{self.bug.value}"
 
-    def build(self, solver: Solver, scope: list[int]) -> None:
+    def propagator(self) -> Propagator:
         kind = RECIPES[self.kind]
         if kind.needs_total:
-            solver.post(kind.propagator(self.total, scope, self.bug))
-        else:
-            solver.post(kind.propagator(scope, self.bug))
+            return kind.propagator(self.total, self.bug)
+        return kind.propagator(self.bug)
 
 
 def sum_equals_bc(total: int) -> Recipe:
@@ -365,15 +353,15 @@ def with_bug(bug: BugId, recipe: Recipe) -> Recipe:
 
 
 def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:
-    """A fresh solver over `inst` with `recipe` posted; None when the root fails."""
+    """A fresh solver over `inst` and `recipe`'s propagator, run to its
+    fixpoint; None when the root fails."""
     if inst.arity != arity:
         raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
     if not all(inst):
         return None
-    solver = Solver()
-    scope = [solver.int_var(d) for d in inst]
+    solver = Solver(inst, recipe.propagator())
     try:
-        recipe.build(solver, scope)
+        solver.fixpoint()
     except Inconsistency:
         return None
     return solver
@@ -399,13 +387,16 @@ class SolverBackedStateful(FilterWithState):
     a restriction keeps the values that `stateful.restricted` keeps, the
     rule the snapshot adapter applies too. The propagator runs to its
     fixpoint after each restriction that removes a value, and after each
-    pop that leaves no failed frame open (the pop re-check)."""
+    pop that leaves no failed frame open (the pop re-check). As in the
+    snapshot adapter, a pop with no open frame is a contract violation,
+    also after a failed setup."""
 
     def __init__(self, recipe: Recipe, arity: int) -> None:
         self._recipe = recipe
         self._arity = arity
         self._solver: Optional[Solver] = None
         self._failed_at: Optional[int] = None  # open frames when it failed
+        self._dead_frames = 0  # frames opened since a failed setup
         self._setup_done = False
 
     def setup(self, root: Instance) -> FilterOutcome:
@@ -418,8 +409,14 @@ class SolverBackedStateful(FilterWithState):
     def branch_and_filter(self, op: BranchOp) -> FilterOutcome:
         if not self._setup_done:
             raise ContractViolationError("branch_and_filter before setup")
-        if self._solver is None:
-            return INCONSISTENT  # dead since a failed setup
+        if self._solver is None:  # dead since a failed setup
+            if isinstance(op, Push):
+                self._dead_frames += 1
+            elif isinstance(op, Pop):
+                if not self._dead_frames:
+                    raise ContractViolationError("pop with no open frame")
+                self._dead_frames -= 1
+            return INCONSISTENT
         solver = self._solver
         if isinstance(op, Push):
             solver.push_state()

@@ -16,6 +16,7 @@ from propcheck import (
     ConsistencyLevel,
     ContractViolationError,
     DiveConfig,
+    Domain,
     Filtered,
     GenConfig,
     Inconsistency,
@@ -44,30 +45,49 @@ from propcheck import (
     with_bug,
 )
 from propcheck.cli import main as cli_main
-from propcheck.minisolver import RECIPES
+from propcheck.minisolver import RECIPES, Propagator
 from propcheck.stateful import restricted
 
 
-def solver_with(values_lists):
-    solver = Solver()
-    scope = [solver.int_var(vs) for vs in values_lists]
-    return solver, scope
+class Idle(Propagator):
+    """A propagator that removes nothing."""
+
+    def propagate(self, solver):
+        pass
 
 
-def domains_of(solver, scope):
-    return [list(solver.doms[x]) for x in scope]
+def solver_with(values_lists, propagator=None):
+    return Solver([Domain(vs) for vs in values_lists], propagator or Idle())
+
+
+def propagated(values_lists, propagator):
+    """A solver over `values_lists` and `propagator`, run to its fixpoint."""
+    solver = solver_with(values_lists, propagator)
+    solver.fixpoint()
+    return solver
+
+
+def domains_of(solver):
+    return [list(d) for d in solver.doms]
 
 
 class TestTrail:
     def test_variables_are_indices(self):
-        solver, scope = solver_with([[2, 1], [3]])
-        assert scope == [0, 1]
+        solver = solver_with([[2, 1], [3]])
         assert solver.doms == [(1, 2), (3,)]
-        with pytest.raises(ValueError):
-            solver.int_var([])
+        with pytest.raises(ValueError, match="non-empty domain"):
+            solver_with([[1], []])
+
+    def test_building_a_solver_runs_nothing(self, counting_sum_bc):
+        solver = solver_with([list(range(1, 11)), [2, 3]], counting_sum_bc(7))
+        assert counting_sum_bc.runs == 0
+        assert domains_of(solver) == [list(range(1, 11)), [2, 3]]
+        solver.fixpoint()
+        assert counting_sum_bc.runs == 2  # the second run removes nothing
+        assert domains_of(solver) == [[4, 5], [2, 3]]
 
     def test_push_remove_pop_restores_exactly(self):
-        solver, (x,) = solver_with([[1, 2, 3]])
+        solver, x = solver_with([[1, 2, 3]]), 0
         solver.push_state()
         solver.remove_value(x, 2)
         assert solver.doms[x] == (1, 3)
@@ -75,7 +95,7 @@ class TestTrail:
         assert solver.doms[x] == (1, 2, 3)
 
     def test_nested_frames(self):
-        solver, (x,) = solver_with([[1, 2, 3, 4]])
+        solver, x = solver_with([[1, 2, 3, 4]]), 0
         solver.push_state()
         solver.remove_above(x, 3)
         solver.push_state()
@@ -87,32 +107,31 @@ class TestTrail:
         assert solver.doms[x] == (1, 2, 3, 4)
 
     def test_pop_with_no_frame_rejected(self):
-        solver, _ = solver_with([[1]])
+        solver = solver_with([[1]])
         with pytest.raises(ContractViolationError):
             solver.pop_state()
 
     def test_empty_domain_raises_inconsistency(self):
-        solver, (x,) = solver_with([[1, 2]])
+        solver, x = solver_with([[1, 2]]), 0
         with pytest.raises(Inconsistency):
             solver.remove_above(x, 0)
         assert solver.doms[x] == (1, 2)
 
     def test_removing_an_absent_value_changes_nothing(self):
-        solver, scope = solver_with([[1, 3], [1, 2, 3]])
-        solver.post(AllDifferentFC(scope))
+        solver = propagated([[1, 3], [1, 2, 3]], AllDifferentFC())
         dom = solver.doms[0]
         assert solver.remove_value(0, 2) is False
         assert solver.doms[0] is dom
 
     def test_assign_outside_domain(self):
-        solver, (x,) = solver_with([[1, 2]])
+        solver, x = solver_with([[1, 2]]), 0
         with pytest.raises(Inconsistency):
             solver.keep(x, restricted(solver.doms, RestrictDomain(x, "=", 5)))
 
     def test_reads_follow_nested_frames(self):
         # Every removal stores a new domain and every pop puts the saved
         # list back; each must show in the next read.
-        solver, (x,) = solver_with([[5, 1, 4, 2, 3]])
+        solver, x = solver_with([[5, 1, 4, 2, 3]]), 0
         assert solver.doms[x] == (1, 2, 3, 4, 5)
         solver.push_state()
         assert solver.remove_below(x, 2)
@@ -133,7 +152,7 @@ class TestTrail:
 
     @pytest.mark.parametrize("empty", ["remove_below", "remove_above", "assign"])
     def test_reads_after_an_emptying_removal_and_pop(self, empty):
-        solver, (x, y) = solver_with([[1, 2, 3], [7, 8]])
+        solver, (x, y) = solver_with([[1, 2, 3], [7, 8]]), (0, 1)
         solver.push_state()
         solver.remove_value(y, 8)
         assert solver.doms[x] == (1, 2, 3)
@@ -159,63 +178,49 @@ class TestTrail:
     )
     def test_a_bound_that_removes_nothing_queues_nothing(self, remove, bound):
         # It answers False, so the solver-backed subject runs no propagator.
-        solver, scope = solver_with([[2, 3, 4], [1, 5]])
-        solver.post(SumEqualsBC(7, scope))
+        solver = propagated([[2, 3, 4], [1, 5]], SumEqualsBC(7))
         dom = solver.doms[0]
         assert getattr(solver, remove)(0, bound) is False
         assert solver.doms[0] is dom
 
     @pytest.mark.parametrize("remove, bound", [("remove_below", 5), ("remove_above", 1)])
     def test_an_emptying_bound_leaves_the_domain_as_it_was(self, remove, bound):
-        solver, scope = solver_with([[2, 3, 4], [1, 5]])
-        solver.post(SumEqualsBC(7, scope))
+        solver = propagated([[2, 3, 4], [1, 5]], SumEqualsBC(7))
         dom = solver.doms[0]
         with pytest.raises(Inconsistency):
             getattr(solver, remove)(0, bound)
         assert solver.doms[0] is dom
 
-    def test_a_second_post_is_rejected(self):
-        solver, scope = solver_with([[1, 2], [1, 2]])
-        solver.post(SumEqualsBC(3, scope))
-        with pytest.raises(ContractViolationError, match="one propagator"):
-            solver.post(AllDifferentFC(scope))
-
 
 class TestSumEqualsBC:
     def test_raises_lower_bound(self):
-        solver, scope = solver_with([list(range(1, 11)), [2, 3], [2, 3]])
-        solver.post(SumEqualsBC(15, scope))
-        assert domains_of(solver, scope) == [[9, 10], [2, 3], [2, 3]]
+        solver = propagated([list(range(1, 11)), [2, 3], [2, 3]], SumEqualsBC(15))
+        assert domains_of(solver) == [[9, 10], [2, 3], [2, 3]]
 
     def test_detects_inconsistency(self):
-        solver, scope = solver_with([[1, 2], [1, 2], [1, 2]])
         with pytest.raises(Inconsistency):
-            solver.post(SumEqualsBC(10, scope))
+            propagated([[1, 2], [1, 2], [1, 2]], SumEqualsBC(10))
 
     def test_incremental_after_restriction(self):
-        solver, scope = solver_with([[1, 2, 3], [1, 2, 3]])
-        solver.post(SumEqualsBC(4, scope))
-        solver.keep(scope[0], (1,))
+        solver = propagated([[1, 2, 3], [1, 2, 3]], SumEqualsBC(4))
+        solver.keep(0, (1,))
         solver.fixpoint()
-        assert domains_of(solver, scope) == [[1], [3]]
+        assert domains_of(solver) == [[1], [3]]
 
 
 class TestAllDifferentFC:
     def test_prunes_fixed_values(self):
-        solver, scope = solver_with([[1], [1, 2], [1, 2, 3]])
-        solver.post(AllDifferentFC(scope))
-        assert domains_of(solver, scope) == [[1], [2], [3]]
+        solver = propagated([[1], [1, 2], [1, 2, 3]], AllDifferentFC())
+        assert domains_of(solver) == [[1], [2], [3]]
 
     def test_chain_of_fixings(self):
-        solver, scope = solver_with([[1], [1, 2], [2, 3]])
-        solver.post(AllDifferentFC(scope))
-        assert domains_of(solver, scope) == [[1], [2], [3]]
+        solver = propagated([[1], [1, 2], [2, 3]], AllDifferentFC())
+        assert domains_of(solver) == [[1], [2], [3]]
 
     def test_weaker_than_ac_on_pigeonhole(self):
         # FC sees no fixed variable, so it leaves the pigeonhole alone.
-        solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
-        solver.post(AllDifferentFC(scope))
-        assert domains_of(solver, scope) == [[1, 2], [1, 2], [1, 2, 3]]
+        solver = propagated([[1, 2], [1, 2], [1, 2, 3]], AllDifferentFC())
+        assert domains_of(solver) == [[1, 2], [1, 2], [1, 2, 3]]
 
 
 class CountingAC(AllDifferentAC):
@@ -237,56 +242,51 @@ class AlwaysFullAC(CountingAC):
 
 class TestAllDifferentAC:
     def test_regin_example(self):
-        solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
-        solver.post(AllDifferentAC(scope))
-        assert domains_of(solver, scope) == [[1, 2], [1, 2], [3]]
+        solver = propagated([[1, 2], [1, 2], [1, 2, 3]], AllDifferentAC())
+        assert domains_of(solver) == [[1, 2], [1, 2], [3]]
 
     def test_pigeonhole_inconsistent(self):
-        solver, scope = solver_with([[1, 2], [1, 2], [1, 2]])
         with pytest.raises(Inconsistency):
-            solver.post(AllDifferentAC(scope))
+            propagated([[1, 2], [1, 2], [1, 2]], AllDifferentAC())
 
     def test_matching_survives_backtracking(self):
-        solver, scope = solver_with([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
-        solver.post(AllDifferentAC(scope))
+        solver = propagated([[1, 2, 3], [1, 2, 3], [1, 2, 3]], AllDifferentAC())
         solver.push_state()
-        solver.keep(scope[0], (1,))
+        solver.keep(0, (1,))
         solver.fixpoint()
-        assert domains_of(solver, scope) == [[1], [2, 3], [2, 3]]
+        assert domains_of(solver) == [[1], [2, 3], [2, 3]]
         solver.pop_state()
         solver.fixpoint()
-        assert domains_of(solver, scope) == [[1, 2, 3]] * 3
+        assert domains_of(solver) == [[1, 2, 3]] * 3
 
     def test_no_full_run_at_its_own_fixpoint(self):
-        solver, scope = solver_with([[1, 2], [1, 2], [1, 2, 3]])
-        ac = CountingAC(scope)
-        solver.post(ac)  # pruning x2 runs it again on the domains it left
-        assert domains_of(solver, scope) == [[1, 2], [1, 2], [3]]
+        ac = CountingAC()
+        solver = propagated([[1, 2], [1, 2], [1, 2, 3]], ac)
+        # pruning x2 ran it again on the domains it left
+        assert domains_of(solver) == [[1, 2], [1, 2], [3]]
         assert ac.repairs == 1
         solver.fixpoint()
         assert ac.repairs == 1
 
     def test_full_run_after_a_pop_that_restores_other_domains(self):
-        solver, scope = solver_with([[1, 2, 3]] * 3)
-        ac = CountingAC(scope)
-        solver.post(ac)
+        ac = CountingAC()
+        solver = propagated([[1, 2, 3]] * 3, ac)
         solver.push_state()
-        solver.keep(scope[0], (1,))
+        solver.keep(0, (1,))
         solver.fixpoint()
         assert ac.repairs == 2
         solver.pop_state()
         solver.fixpoint()
         assert ac.repairs == 3
-        assert domains_of(solver, scope) == [[1, 2, 3]] * 3
+        assert domains_of(solver) == [[1, 2, 3]] * 3
 
     def test_full_run_after_a_run_that_raised(self):
-        solver, scope = solver_with([[1, 2], [1, 2, 3], [1, 2, 3]])
-        ac = CountingAC(scope)
-        solver.post(ac)
+        ac = CountingAC()
+        solver = propagated([[1, 2], [1, 2, 3], [1, 2, 3]], ac)
         left = solver.doms.copy()
         solver.push_state()
-        solver.keep(scope[1], (1,))
-        solver.keep(scope[2], (2,))
+        solver.keep(1, (1,))
+        solver.keep(2, (2,))
         with pytest.raises(Inconsistency):
             solver.fixpoint()
         assert ac.repairs == 2
@@ -296,7 +296,7 @@ class TestAllDifferentAC:
         assert all(map(lambda a, b: a is b, solver.doms, left))
         solver.fixpoint()
         assert ac.repairs == 3
-        assert domains_of(solver, scope) == [[1, 2], [1, 2, 3], [1, 2, 3]]
+        assert domains_of(solver) == [[1, 2], [1, 2, 3], [1, 2, 3]]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_trail_bug_cache_grows_as_under_full_runs(self, seed):
@@ -306,16 +306,15 @@ class TestAllDifferentAC:
         root = generate_instance(SplitMix64(seed), GenConfig(n_vars=5, value_min=0, value_max=5))
 
         def drive(cls):
-            solver, scope = solver_with(root)
-            ac = cls(scope, BugId.BUG_TRAIL_NO_RESTORE)
+            ac = cls(BugId.BUG_TRAIL_NO_RESTORE)
             rng = SplitMix64(seed)
             states = []
             try:
-                solver.post(ac)
+                solver = propagated(root, ac)
             except Inconsistency:
                 return [], ac
             for _ in range(60):
-                unfixed = [x for x in scope if len(solver.doms[x]) > 1]
+                unfixed = [x for x, d in enumerate(solver.doms) if len(d) > 1]
                 try:
                     if solver.depth() and (not unfixed or rng.next_below(3) == 0):
                         solver.pop_state()
@@ -338,11 +337,10 @@ class TestAllDifferentAC:
     def test_trail_bug_cache_after_an_early_return(self):
         # x1 and x2 become fixed during the first run, after its cache
         # update; the run on the domains it left adds them all the same.
-        solver, scope = solver_with([[1], [1, 2], [1, 2, 3]])
-        ac = CountingAC(scope, BugId.BUG_TRAIL_NO_RESTORE)
-        solver.post(ac)
+        ac = CountingAC(BugId.BUG_TRAIL_NO_RESTORE)
+        solver = propagated([[1], [1, 2], [1, 2, 3]], ac)
         assert ac.repairs == 1
-        assert domains_of(solver, scope) == [[1], [2], [3]]
+        assert domains_of(solver) == [[1], [2], [3]]
         assert ac._seen_fixed == {0: 1, 1: 2, 2: 3}
 
     @pytest.mark.parametrize(
@@ -362,9 +360,8 @@ class TestAllDifferentAC:
         ids=["kept-through-a-free-value", "kept-through-a-cycle", "removed"],
     )
     def test_pruning_rule(self, doms, expected):
-        solver, scope = solver_with(doms)
-        solver.post(AllDifferentAC(scope))
-        assert domains_of(solver, scope) == expected
+        solver = propagated(doms, AllDifferentAC())
+        assert domains_of(solver) == expected
 
     @pytest.mark.parametrize("arity", [5, 6, 7])
     @pytest.mark.parametrize("width", [-1, 0, 2], ids=["narrower", "equal", "wider"])
@@ -560,6 +557,20 @@ class TestSolverBackedStateful:
         assert subject.setup(Instance.of([[1, 2], [1, 2]])) is INCONSISTENT
         for op in (PUSH, POP, PUSH, RestrictDomain(0, "=", 1), POP):
             assert subject.branch_and_filter(op) is INCONSISTENT, op
+
+    @pytest.mark.parametrize("root", [[[1, 2], [1, 2]], [[1, 50], [50, 60]]],
+                             ids=["failed-setup", "consistent-setup"])
+    def test_a_pop_with_no_open_frame_is_a_contract_violation(self, root):
+        # As in the snapshot adapter, whether or not setup failed.
+        for subject in (
+            as_filter_with_state(sum_equals_bc(100), 2),
+            IncrementalFiltering(make_reference(ConsistencyLevel.BOUND_Z, sum_equals(100, 2))),
+        ):
+            subject.setup(Instance.of(root))
+            subject.branch_and_filter(PUSH)
+            subject.branch_and_filter(POP)
+            with pytest.raises(ContractViolationError):
+                subject.branch_and_filter(POP)
 
     def test_pop_inside_the_failed_frame_stays_inconsistent(self):
         # The failure happens one frame down; a pop that does not leave that

@@ -462,6 +462,24 @@ def test_warm_witnesses_do_not_change_the_cap():
         assert outcome_or_cap(warm.apply, big) == outcome_or_cap(fresh.apply, big), level
 
 
+def test_witnesses_are_shared_across_filters_and_calls():
+    # Growing the table to cover `inst` would pass the cap, so both calls
+    # on it search. The bound-Z call reuses the solutions that the arc
+    # calls found as witnesses, and so makes fewer predicate calls than a
+    # search that starts with none (9 against 15).
+    counted, calls = counting(sum_equals(0, 3))
+    arc = make_reference(ConsistencyLevel.ARC, counted, cap=40)
+    arc.apply(Instance.of([[-1, 0, 1]] * 3))
+    inst = Instance.of([[-2, 2], [-1, 1], [0, 1]])
+    arc.apply(inst)
+    del calls[:]
+    shared = make_reference(ConsistencyLevel.BOUND_Z, counted, cap=40).apply(inst)
+    shared_calls = len(calls)
+    del calls[:]
+    assert shared == bound_z_filter(counted, inst, cap=40)
+    assert shared_calls < len(calls)
+
+
 # ---------------------------------------------------------------------------
 # A make_reference filter answers from a table of the checker's solutions
 # over a region that grows, slab by slab, to cover the lists of each call
