@@ -4,6 +4,7 @@ The brute-force oracle here deliberately reimplements support search from
 scratch (naive loops, no shared helpers) so the two routes stay independent.
 """
 
+import array
 import hashlib
 import itertools
 import math
@@ -816,3 +817,29 @@ def test_reference_filters_call_the_predicate_in_a_fixed_order():
     assert len(calls) == region_size(memo_of(filters[0]))
     assert len(calls) == 7**5
     assert call_digest(calls) == "b7d4707f50a43714be171b2c0cf99b1c109fe2e3a4cdbb8d894716fe718f0670"
+
+
+def test_reference_filters_past_the_table_cap_call_the_predicate_in_a_fixed_order():
+    # Over -8..8 the box of five variables holds 17**5 tuples, past the
+    # default cap. Each hull fits it, so the first calls grow a table, and
+    # once growing it over a call's lists would pass the cap, the call
+    # searches with the witnesses that every level's calls before it left.
+    # Every value of these draws has a support, so every outcome keeps its
+    # instance. The digests pin the predicate's arguments in call order,
+    # each value packed in a signed byte to keep the hashing quick.
+    rng = SplitMix64(54)
+    cfg = GenConfig(value_min=-8, value_max=8)
+    instances = [generate_instance(rng, cfg) for _ in range(4)]
+    digests = {}
+    for checker in (sum_equals(0, 5), all_different(5)):
+        counted, calls = counting(checker)
+        filters = [make_reference(level, counted) for level in ConsistencyLevel]
+        for inst in instances:
+            assert [f.apply(inst) for f in filters] == [Filtered(inst)] * 4, checker.name
+        assert region_size(memo_of(filters[0])) < len(calls), checker.name
+        packed = array.array("b", itertools.chain.from_iterable(calls)).tobytes()
+        digests[checker.name] = len(calls), hashlib.sha256(packed).hexdigest()
+    assert digests == {
+        "sum=0": (716_924, "8c82e69e74d236dba615b25501277bba005e29e90fa6ff2c8c6b29251ffc99d2"),
+        "alldiff": (777_677, "54be49037e5214b505cd44355ea287953081af752c96f37e81c6ffea5c37dafd"),
+    }
