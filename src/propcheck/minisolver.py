@@ -146,7 +146,7 @@ class Solver:
 
     def pop_state(self) -> None:
         if not self._saved:
-            raise ContractViolationError("pop_state with no open frame")
+            raise ContractViolationError("pop with no open frame")
         self.doms = self._saved.pop()
 
 

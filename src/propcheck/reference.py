@@ -9,13 +9,13 @@ unsupported value or only unsupported bounds:
 * bound-Z: interval supports, bounds only; interior values are kept.
 * range: interval supports, every value.
 
-All four work by explicit enumeration guarded by a tuple cap, so a "pass"
-can never hide an unexhausted search. Each value gets its own early-exit
-support search, and a search over more than `cap` tuples raises
-EnumerationCapExceeded. They are oracles for small instances, not
-production propagators. The filters from `make_reference` over one
-checker share its witnesses and a table of its solutions, which grows to
-cover each instance they filter while it fits the cap (see `_Memo`).
+Each level is one fixpoint scan whose support test is an early-exit
+search over explicit tuples: a search over more than `cap` tuples raises
+EnumerationCapExceeded, so a "pass" can never hide an unexhausted search.
+They are oracles for small instances, not production propagators. The
+filters from `make_reference` over one checker share its witnesses and a
+table of its solutions, which grows to cover each instance they filter
+while it fits the cap and then replaces the search (see `_Memo`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 import math
 import operator
 import weakref
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .checkers import Checker
 from .domains import (
@@ -195,49 +195,52 @@ def _filter(
     cap: int,
     memo: Optional[_Memo] = None,
 ) -> FilterOutcome:
-    """The fixpoint shared by all four levels.
+    """The fixpoint of all four levels: `_scan` with one of two support tests.
 
-    Each value gets an early-exit support search over the current value
-    lists: the kept domain values, or their hulls for interval supports.
-    Each list is rotated to start at its value in the last support found
-    in this call (phase saving). A support found is recorded in the
-    witnesses as the witness of each of its components, and a later check
-    reuses it while every component is still inside the lists (residual
-    supports, Lecoutre & Hemery 2007). A pass checks the variables in
-    order: a full level checks every value, and a bounds-only level scans
-    inward from each end until a value is supported. A variable's
-    unsupported values leave its list when its scan ends, which changes
-    no check: each check of a variable fixes it to the value checked.
-    With domain supports one pass suffices: every support found is a
-    solution, and a solution loses none of its values. Interval supports
-    can leave the hull when a bound moves, so the interval levels repeat
-    the pass until no bound moves.
+    Supports range over the current value lists: the domains being
+    scanned, or their hulls for interval supports. The search test gives
+    each value an early-exit support search over the lists, each rotated
+    to start at its value in the last support found in this call (phase
+    saving). A support found is the witness of each of its components,
+    and a later test reuses it while every component is still inside the
+    lists (residual supports, Lecoutre & Hemery 2007).
 
     `memo` may hold the witnesses and the table of earlier calls, made at
     any level and under any cap. It is used only when the product of the
     hulls fits this call's `cap`, so that no search can pass the cap and
     whether a call raises never depends on earlier calls. The table's
     region then grows to cover this call's lists unless it would pass the
-    cap (`_Memo.lookup`), and while it covers them `_table_pass` answers
-    the call with no search and no witness. Neither the order, the
-    witnesses nor the table change an outcome: each fixpoint is unique.
+    cap (`_Memo.lookup`), and while it covers them the table test replaces
+    the search: a value is supported iff some solution of the table inside
+    the lists holds it, `bits[i][v] & valid`. A removal leaves `valid`
+    stale but safe: on the domain levels the value removed was in no valid
+    solution, and on the interval levels `valid` goes stale only when a
+    bound moves, and `rehull` recomputes it before the next pass. Neither
+    the test, the order nor the witnesses change an outcome: each fixpoint
+    is unique.
     """
     _check_arity(checker, inst)
     if not all(inst):
         return INCONSISTENT
     intervals, bounds_only = _LEVEL_FLAGS[level]
     pred = checker.predicate
+    doms = list(inst)
+    hulls = [range(d[0], d[-1] + 1) for d in inst] if intervals else None
+    # The domain levels search the scanned domains themselves, so a removal
+    # shows in every later search.
+    lists: list[Sequence[int]] = doms if hulls is None else hulls
     witness: Witnesses = {}
     if memo is not None and math.prod([d[-1] - d[0] + 1 for d in inst]) <= cap:
-        hulls = [range(d[0], d[-1] + 1) for d in inst] if intervals else None
-        valid = memo.lookup(inst if hulls is None else hulls, pred, cap)
+        bits = memo.bits
+        valid = memo.lookup(lists, pred, cap)
         if valid is not None:
-            return _table_pass(inst, memo.bits, valid, hulls, bounds_only)
+
+            def rehull() -> None:
+                nonlocal valid
+                valid = _valid(bits, lists)
+
+            return _scan(inst, doms, hulls, bounds_only, lambda i, v: bits[i][v] & valid, rehull)
         witness = memo.witness
-    kept = list(map(list, inst))
-    # The domain levels search the kept lists themselves, so a removal
-    # shows in every later search.
-    lists: list[Sequence[int]] = [range(vs[0], vs[-1] + 1) for vs in kept] if intervals else kept
     last: Optional[Assignment] = None
 
     def searched(i: int, v: int) -> bool:
@@ -260,91 +263,58 @@ def _filter(
         witness.update(dict.fromkeys(enumerate(t), t))
         return True
 
-    moved = True
-    while moved:
-        moved = False
-        for i, vs in enumerate(kept):
-            n = len(vs)
-            # A bounds-only level scans inward from each end. The scan from
-            # above stops at the supported low bound, which it need not
-            # check again.
-            if bounds_only:
-                lo = 0
-                while lo < n and not searched(i, vs[lo]):
-                    lo += 1
-                hi = n - 1
-                while hi > lo and not searched(i, vs[hi]):
-                    hi -= 1
-                del vs[hi + 1 :]
-                del vs[:lo]
-            else:
-                vs[:] = [v for v in vs if searched(i, v)]
-            if not vs:
-                return INCONSISTENT
-            if intervals and len(vs) < n and lists[i] != (h := range(vs[0], vs[-1] + 1)):
-                lists[i] = h
-                moved = True
-    if list(map(len, kept)) == list(map(len, inst)):
-        return Filtered(inst)
-    return Filtered(
-        Instance([d if len(d) == len(vs) else Domain._from_sorted(vs) for d, vs in zip(inst, kept)])
-    )
+    return _scan(inst, doms, hulls, bounds_only, searched, lambda: None)
 
 
-def _table_pass(
+def _scan(
     inst: Instance,
-    bits: list[dict[int, int]],
-    valid: int,
+    doms: list[Domain],
     hulls: Optional[list[range]],
     bounds_only: bool,
+    supported: Callable[[int, int], object],
+    rehull: Callable[[], None],
 ) -> FilterOutcome:
-    """`_filter`'s fixpoint from the table alone.
+    """Filter `doms`, a copy of `inst`'s domains, to the level's fixpoint.
 
-    `valid` is the bitset of the table's solutions inside the call's
-    lists: the domains themselves, or `hulls` on the interval levels. A
-    value is supported iff some valid solution holds it,
-    `bits[i][v] & valid`. The scans are `_filter`'s, over the `Domain`s
-    of `inst`, and a domain that loses no value is kept as it is. A
-    removal leaves `valid` stale but safe: on the domain levels the value
-    removed was in no valid solution, and on the interval levels `valid`
-    goes stale only when a bound moves, which recomputes it and repeats
-    the pass.
+    A pass tests the variables in order: a full level tests every value,
+    and a bounds-only level scans inward from each end until a value is
+    `supported`. A domain that loses a value is replaced when its scan
+    ends, which changes no test: each test of a variable fixes it to the
+    value tested. With domain supports (`hulls` is None) one pass
+    suffices: every support is a solution, and a solution loses none of
+    its values. When a bound moves, the interval levels update `hulls`,
+    call `rehull` and repeat the pass. A domain that loses no value is
+    kept as it is.
     """
-    doms = list(inst)
-    changed = False
-    while valid:
+    changed, moved = False, True
+    while moved:
         moved = False
         for i, d in enumerate(doms):
-            b = bits[i]
             n = len(d)
             if bounds_only:
+                # The scan from above stops at the supported low bound, which
+                # it need not test again.
                 lo = 0
-                while lo < n and not b[d[lo]] & valid:
+                while lo < n and not supported(i, d[lo]):
                     lo += 1
-                if lo == n:
-                    return INCONSISTENT
                 hi = n - 1
-                while hi > lo and not b[d[hi]] & valid:
+                while hi > lo and not supported(i, d[hi]):
                     hi -= 1
-                if hi - lo + 1 == n:
-                    continue
-                d = Domain._from_sorted(d[lo : hi + 1])
+                vs = d[lo : hi + 1]
             else:
-                vs = [v for v in d if b[v] & valid]
-                if len(vs) == n:
-                    continue
-                if not vs:
-                    return INCONSISTENT
-                d = Domain._from_sorted(vs)
-            doms[i] = d
+                vs = [v for v in d if supported(i, v)]
+            if len(vs) == n:
+                continue
+            if not vs:
+                return INCONSISTENT
+            d = doms[i] = Domain._from_sorted(vs)
             changed = True
             if hulls is not None and hulls[i] != (h := range(d[0], d[-1] + 1)):
                 hulls[i] = h
                 moved = True
-        if not moved:
-            return Filtered(Instance(doms)) if changed else Filtered(inst)
-        valid = _valid(bits, hulls)
-    return INCONSISTENT
+        if moved:
+            rehull()
+    return Filtered(Instance(doms)) if changed else Filtered(inst)
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:

@@ -132,7 +132,7 @@ class IncrementalFiltering(FilterWithState):
             self._stack.append(self._current)
         elif isinstance(op, Pop):
             if not self._stack:
-                raise ContractViolationError("pop with no saved state")
+                raise ContractViolationError("pop with no open frame")
             self._current = self._stack.pop()
         else:
             if self._current is not INCONSISTENT:

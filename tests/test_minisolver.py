@@ -561,7 +561,8 @@ class TestSolverBackedStateful:
     @pytest.mark.parametrize("root", [[[1, 2], [1, 2]], [[1, 50], [50, 60]]],
                              ids=["failed-setup", "consistent-setup"])
     def test_a_pop_with_no_open_frame_is_a_contract_violation(self, root):
-        # As in the snapshot adapter, whether or not setup failed.
+        # As in the snapshot adapter, whether or not setup failed, and with
+        # the same message.
         for subject in (
             as_filter_with_state(sum_equals_bc(100), 2),
             IncrementalFiltering(make_reference(ConsistencyLevel.BOUND_Z, sum_equals(100, 2))),
@@ -569,7 +570,7 @@ class TestSolverBackedStateful:
             subject.setup(Instance.of(root))
             subject.branch_and_filter(PUSH)
             subject.branch_and_filter(POP)
-            with pytest.raises(ContractViolationError):
+            with pytest.raises(ContractViolationError, match="^pop with no open frame$"):
                 subject.branch_and_filter(POP)
 
     def test_pop_inside_the_failed_frame_stays_inconsistent(self):

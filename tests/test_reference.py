@@ -659,6 +659,43 @@ def test_reference_filters_answer_as_the_level_functions_on_every_instance(
         assert size <= cap < box if capped else size == box, checker.name
 
 
+@pytest.mark.parametrize("level", ["boundz", "range"])
+@pytest.mark.parametrize(
+    "domains,expected",
+    [
+        # The first pass keeps both values of x0 and moves the hulls of x1
+        # and x2 to [0, 0] and [2, 2], which leave x0 = -1 with no support:
+        # the second pass removes it.
+        ([[-2, -1], [-2, 0], [-2, 2]], [[-2], [0], [2]]),
+        # The first pass leaves {-2, 0}, {2}, {-1}; the hulls still hold
+        # the solution (-1, 2, -1), and the second pass empties x0.
+        ([[-2, 0], [-2, 2], [-1, 1]], None),
+        # x1 = 1 moves x1's hull to [1, 1]. The search finds no support
+        # for x2 inside it and answers in the first pass. The table keeps
+        # x2 = 2 on (-1, -1, 2), from the solutions inside the hulls the
+        # pass began with; recomputed over {-2, -1}, {1}, {2}, they are
+        # none, and the second pass empties x0.
+        ([[-2, -1], [-2, 1], [-2, 2]], None),
+    ],
+    ids=["second-pass-removes", "second-pass-empties", "no-solution-left-in-the-hulls"],
+)
+def test_a_moved_bound_repeats_the_pass_with_the_table_and_with_the_search(
+    level, domains, expected
+):
+    # One filter answers from a table over the hulls, the other has a cap
+    # below the hull product, so it searches; each support search fits.
+    inst = Instance.of(domains)
+    hull_product = math.prod(max(d) - min(d) + 1 for d in domains)
+    want = LEVEL_FUNCS[level](sum_equals(0, 3), inst)
+    assert want == as_outcome(expected) == as_outcome(brute_level(sum_equals(0, 3), inst, level))
+    table = make_reference(ConsistencyLevel(level), sum_equals(0, 3))
+    assert table.apply(inst) == want
+    assert region_size(memo_of(table)) == hull_product and memo_of(table).witness == {}
+    search = make_reference(ConsistencyLevel(level), sum_equals(0, 3), cap=hull_product - 1)
+    assert search.apply(inst) == want
+    assert region_size(memo_of(search)) == 0
+
+
 def test_no_table_when_the_box_passes_the_cap():
     # Each hull product is 100, within the cap, so `low` gets a table over
     # its lists. The box of both holds 10 * 10 * 10 tuples (10 * 10 * 8 at
