@@ -22,6 +22,8 @@ from propcheck import (
     Inconsistency,
     IncrementalFiltering,
     Instance,
+    Pop,
+    Push,
     RestrictDomain,
     Solver,
     SplitMix64,
@@ -44,8 +46,9 @@ from propcheck import (
     sum_equals_bc,
     with_bug,
 )
+from propcheck import minisolver
 from propcheck.cli import main as cli_main
-from propcheck.minisolver import RECIPES, Propagator
+from propcheck.minisolver import RECIPES, Propagator, SolverBackedStateful
 from propcheck.stateful import restricted
 
 
@@ -613,6 +616,25 @@ class TestSolverBackedStateful:
             with pytest.raises(ContractViolationError, match=f"index {index} out of range"):
                 subject.branch_and_filter(op)
 
+    @pytest.mark.parametrize(
+        "ops", [[PUSH, POP], [PUSH, RestrictDomain(0, "!=", 9), POP]], ids=["push-pop", "no-op"]
+    )
+    def test_a_frame_that_changes_nothing_runs_no_full_ac_run(self, monkeypatch, ops):
+        # The pop puts back the very domains that setup's completed run
+        # left, so the pop re-check returns at once.
+        repairs = []
+
+        def counted(self, doms, repair=AllDifferentAC._repair_matching):
+            repairs.append(doms)
+            return repair(self, doms)
+
+        monkeypatch.setattr(AllDifferentAC, "_repair_matching", counted)
+        subject = as_filter_with_state(all_different_ac(), 3)
+        root = subject.setup(Instance.of([[1, 2, 3]] * 3))
+        assert len(repairs) == 1
+        assert [subject.branch_and_filter(op) for op in ops][-1] == root
+        assert len(repairs) == 1
+
     def test_setup_twice_rejected(self):
         subject = as_filter_with_state(sum_equals_bc(1), 1)
         subject.setup(Instance.of([[1]]))
@@ -677,15 +699,30 @@ _PINNED_RUNS = "0bc33b4ecf0a747587501206cde8b3d6586fc5b438ee6f3261e461298a622b16
 
 def test_solver_propagator_runs_are_pinned(monkeypatch, capsys):
     """One sha256 over every propagator run of the pinned campaigns at
-    seeds 0-24: the propagator's class, the solver's depth and the domains
+    seeds 0-24: the propagator's class, the open frames and the domains
     at entry. A change to the propagation engine must run the propagators
     exactly as the one it replaces, in the same order and on the same
-    domains."""
+    domains. The open frames are counted from the operations: a new
+    solver has none, a push opens one and a pop closes one."""
     digest = hashlib.sha256()
+    depth = 0
+
+    def fresh(*args, solver_for=minisolver._solver_for):
+        nonlocal depth
+        depth = 0
+        return solver_for(*args)
+
+    def counted(self, op, branch=SolverBackedStateful.branch_and_filter):
+        nonlocal depth
+        depth += {Push: 1, Pop: -1}.get(type(op), 0)
+        return branch(self, op)
+
+    monkeypatch.setattr(minisolver, "_solver_for", fresh)
+    monkeypatch.setattr(SolverBackedStateful, "branch_and_filter", counted)
     for cls in (SumEqualsBC, AllDifferentFC, AllDifferentAC):
 
         def recorded(self, solver, propagate=cls.propagate):
-            digest.update(f"{type(self).__name__} {solver.depth()} {solver.doms}\n".encode())
+            digest.update(f"{type(self).__name__} {depth} {solver.doms}\n".encode())
             propagate(self, solver)
 
         monkeypatch.setattr(cls, "propagate", recorded)
