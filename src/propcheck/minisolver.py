@@ -6,12 +6,13 @@ seeded bugs reachable only through an explicit `with_bug` selector.
 
 A solver is an instance's domains plus one propagator over all of its
 variables, since the harness tests one constraint at a time. A variable
-is a position in the solver's list of immutable `Domain`s; a push saves
-a copy of that list and a pop puts it back, so backtracking restores
-domains exactly with no undo log and no cache. Building a solver runs
-nothing; `fixpoint` runs the propagator to its own fixpoint: again after
-each run that removed a value, until a run removes nothing. A
-restriction that removes a value starts that loop. After a pop,
+is a position in the solver's list of immutable `Domain`s. The solver
+keeps no frames: `SolverBackedStateful` saves the outcome, which holds
+the very `Domain`s of that list, at a push and puts them back at a pop,
+with no undo log and no cache. Building a solver runs nothing;
+`fixpoint` runs the propagator to its own fixpoint: again after each
+run that removed a value, until a run removes nothing. A restriction
+that removes a value starts that loop. After a pop,
 `SolverBackedStateful` starts it once more (the pop re-check): a correct
 propagator removes nothing there, and a BUG_TRAIL_NO_RESTORE cache shows.
 `AllDifferentAC` returns at once on the very domains its last completed
@@ -39,7 +40,7 @@ from .domains import (
     FilterOutcome,
     Instance,
 )
-from .stateful import BranchOp, FilterWithState, Pop, Push, restricted
+from .stateful import RestrictDomain, SnapshotStack, restricted
 
 
 class Inconsistency(Exception):
@@ -95,17 +96,16 @@ class Propagator:
 class Solver:
     """Single-owner micro-solver: the current domain of each variable in
     `doms`, a variable being its position there, and one propagator over
-    all of them. Building one runs nothing. A push saves a copy of `doms`
-    and a pop puts it back; `fixpoint` runs the propagator until a run of
-    its own removes nothing."""
+    all of them. Building one runs nothing; `fixpoint` runs the propagator
+    until a run of its own removes nothing. It keeps no frames: its owner
+    saves `doms` and puts them back."""
 
     def __init__(self, domains: Sequence[Domain], propagator: Propagator) -> None:
         if not all(domains):
-            raise ValueError("a solver variable needs a non-empty domain")
+            raise Inconsistency("a solver variable needs a non-empty domain")
         self.doms = list(domains)
         self.propagator = propagator
         self._removed = False  # set by every removal
-        self._saved: list[list[Domain]] = []  # the domains at each open push
 
     def keep(self, x: int, kept: Sequence[int]) -> bool:
         """Narrow D(x) to `kept`, a sorted sub-sequence of it; True iff a
@@ -137,17 +137,6 @@ class Solver:
         while self._removed:
             self._removed = False
             self.propagator.propagate(self)
-
-    def depth(self) -> int:
-        return len(self._saved)
-
-    def push_state(self) -> None:
-        self._saved.append(self.doms.copy())
-
-    def pop_state(self) -> None:
-        if not self._saved:
-            raise ContractViolationError("pop with no open frame")
-        self.doms = self._saved.pop()
 
 
 class SumEqualsBC(Propagator):
@@ -357,10 +346,8 @@ def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:
     fixpoint; None when the root fails."""
     if inst.arity != arity:
         raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
-    if not all(inst):
-        return None
-    solver = Solver(inst, recipe.propagator())
     try:
+        solver = Solver(inst, recipe.propagator())
         solver.fixpoint()
     except Inconsistency:
         return None
@@ -382,62 +369,41 @@ def as_filter(recipe: Recipe, arity: int) -> Filter:
     return Filter(arity=arity, apply=apply, name=recipe.display_name())
 
 
-class SolverBackedStateful(FilterWithState):
-    """FilterWithState over a fresh solver. A push or pop is the solver's;
-    a restriction keeps the values that `stateful.restricted` keeps, the
-    rule the snapshot adapter applies too. The propagator runs to its
-    fixpoint after each restriction that removes a value, and after each
-    pop that leaves no failed frame open (the pop re-check). As in the
-    snapshot adapter, a pop with no open frame is a contract violation,
-    also after a failed setup."""
+class SolverBackedStateful(SnapshotStack):
+    """FilterWithState over a fresh solver, with the snapshot adapter's frame
+    rules and restriction rule (`stateful.restricted`). The propagator runs
+    to its fixpoint after a restriction that removes a value, and after a
+    pop puts back the very domains saved at the push (the pop re-check)."""
 
     def __init__(self, recipe: Recipe, arity: int) -> None:
+        super().__init__()
         self._recipe = recipe
         self._arity = arity
         self._solver: Optional[Solver] = None
-        self._failed_at: Optional[int] = None  # open frames when it failed
-        self._dead_frames = 0  # frames opened since a failed setup
-        self._setup_done = False
 
-    def setup(self, root: Instance) -> FilterOutcome:
-        if self._setup_done:
-            raise ContractViolationError("setup called twice")
-        self._setup_done = True
+    def _root(self, root: Instance) -> FilterOutcome:
         self._solver = _solver_for(self._recipe, self._arity, root)
         return _outcome(self._solver)
 
-    def branch_and_filter(self, op: BranchOp) -> FilterOutcome:
-        if not self._setup_done:
-            raise ContractViolationError("branch_and_filter before setup")
-        if self._solver is None:  # dead since a failed setup
-            if isinstance(op, Push):
-                self._dead_frames += 1
-            elif isinstance(op, Pop):
-                if not self._dead_frames:
-                    raise ContractViolationError("pop with no open frame")
-                self._dead_frames -= 1
-            return INCONSISTENT
+    def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
         solver = self._solver
-        if isinstance(op, Push):
-            solver.push_state()
-        elif isinstance(op, Pop):
-            solver.pop_state()
-            if self._failed_at is not None and solver.depth() < self._failed_at:
-                self._failed_at = None
-            if self._failed_at is None:
-                # Re-reaching the fixpoint is a no-op for well-behaved
-                # propagators; stale internal state surfaces here.
-                try:
-                    solver.fixpoint()
-                except Inconsistency:
-                    self._failed_at = solver.depth()
-        elif self._failed_at is None:
-            try:
-                if solver.keep(op.index, restricted(solver.doms, op)):
-                    solver.fixpoint()
-            except Inconsistency:
-                self._failed_at = solver.depth()
-        return INCONSISTENT if self._failed_at is not None else _outcome(solver)
+        try:
+            if not solver.keep(op.index, restricted(solver.doms, op)):
+                return current
+            solver.fixpoint()
+        except Inconsistency:
+            return INCONSISTENT
+        return _outcome(solver)
+
+    def _restored(self, saved: Filtered) -> FilterOutcome:
+        self._solver.doms = list(saved.instance)
+        # Re-reaching the fixpoint is a no-op for well-behaved
+        # propagators; stale internal state surfaces here.
+        try:
+            self._solver.fixpoint()
+        except Inconsistency:
+            return INCONSISTENT
+        return _outcome(self._solver)
 
 
 def as_filter_with_state(recipe: Recipe, arity: int) -> SolverBackedStateful:

@@ -111,18 +111,21 @@ class FilterWithState(abc.ABC):
         """Apply one branching operation and return the resulting outcome."""
 
 
-class IncrementalFiltering(FilterWithState):
-    """Turns any static Filter into a stateful one via a snapshot stack."""
+class SnapshotStack(FilterWithState):
+    """The frame rules of a stateful subject: setup runs once, before any
+    operation; a push saves the current outcome and a pop puts the last
+    saved one back; a restriction leaves an inconsistent outcome as it is.
+    Subclasses filter in `_root` and `_restricted`; `_restored` runs on a
+    consistent saved outcome that a pop puts back."""
 
-    def __init__(self, base: Filter) -> None:
-        self._base = base
+    def __init__(self) -> None:
         self._stack: list[FilterOutcome] = []
         self._current: Optional[FilterOutcome] = None
 
     def setup(self, root: Instance) -> FilterOutcome:
         if self._current is not None:
             raise ContractViolationError("setup called twice")
-        self._current = self._base.apply(root)
+        self._current = self._root(root)
         return self._current
 
     def branch_and_filter(self, op: BranchOp) -> FilterOutcome:
@@ -133,15 +136,37 @@ class IncrementalFiltering(FilterWithState):
         elif isinstance(op, Pop):
             if not self._stack:
                 raise ContractViolationError("pop with no open frame")
-            self._current = self._stack.pop()
-        else:
-            if self._current is not INCONSISTENT:
-                restricted = apply_restriction(self._current.instance, op)
-                if restricted is INCONSISTENT:
-                    self._current = INCONSISTENT
-                else:
-                    self._current = self._base.apply(restricted.instance)
+            saved = self._stack.pop()
+            self._current = saved if saved is INCONSISTENT else self._restored(saved)
+        elif self._current is not INCONSISTENT:
+            self._current = self._restricted(self._current, op)
         return self._current
+
+    @abc.abstractmethod
+    def _root(self, root: Instance) -> FilterOutcome:
+        """The outcome of filtering `root`."""
+
+    @abc.abstractmethod
+    def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
+        """The outcome of restricting `current` by `op` and filtering."""
+
+    def _restored(self, saved: Filtered) -> FilterOutcome:
+        return saved
+
+
+class IncrementalFiltering(SnapshotStack):
+    """Turns any static Filter into a stateful one via a snapshot stack."""
+
+    def __init__(self, base: Filter) -> None:
+        super().__init__()
+        self._base = base
+
+    def _root(self, root: Instance) -> FilterOutcome:
+        return self._base.apply(root)
+
+    def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
+        restricted = apply_restriction(current.instance, op)
+        return restricted if restricted is INCONSISTENT else self._base.apply(restricted.instance)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""The copying micro-solver (domains saved on push, restored on pop), its
-propagators, and the seeded bugs."""
+"""The micro-solver, its propagators, the solver-backed stateful subject
+(domains saved on push, put back on pop), and the seeded bugs."""
 
 import hashlib
 import itertools
@@ -78,7 +78,7 @@ class TestTrail:
     def test_variables_are_indices(self):
         solver = solver_with([[2, 1], [3]])
         assert solver.doms == [(1, 2), (3,)]
-        with pytest.raises(ValueError, match="non-empty domain"):
+        with pytest.raises(Inconsistency, match="non-empty domain"):
             solver_with([[1], []])
 
     def test_building_a_solver_runs_nothing(self, counting_sum_bc):
@@ -88,31 +88,6 @@ class TestTrail:
         solver.fixpoint()
         assert counting_sum_bc.runs == 2  # the second run removes nothing
         assert domains_of(solver) == [[4, 5], [2, 3]]
-
-    def test_push_remove_pop_restores_exactly(self):
-        solver, x = solver_with([[1, 2, 3]]), 0
-        solver.push_state()
-        solver.remove_value(x, 2)
-        assert solver.doms[x] == (1, 3)
-        solver.pop_state()
-        assert solver.doms[x] == (1, 2, 3)
-
-    def test_nested_frames(self):
-        solver, x = solver_with([[1, 2, 3, 4]]), 0
-        solver.push_state()
-        solver.remove_above(x, 3)
-        solver.push_state()
-        solver.remove_below(x, 3)
-        assert solver.doms[x] == (3,)
-        solver.pop_state()
-        assert solver.doms[x] == (1, 2, 3)
-        solver.pop_state()
-        assert solver.doms[x] == (1, 2, 3, 4)
-
-    def test_pop_with_no_frame_rejected(self):
-        solver = solver_with([[1]])
-        with pytest.raises(ContractViolationError):
-            solver.pop_state()
 
     def test_empty_domain_raises_inconsistency(self):
         solver, x = solver_with([[1, 2]]), 0
@@ -132,34 +107,34 @@ class TestTrail:
             solver.keep(x, restricted(solver.doms, RestrictDomain(x, "=", 5)))
 
     def test_reads_follow_nested_frames(self):
-        # Every removal stores a new domain and every pop puts the saved
-        # list back; each must show in the next read.
+        # Every removal stores a new domain and leaves the saved lists as
+        # they were, and every saved list put back shows in the next read.
         solver, x = solver_with([[5, 1, 4, 2, 3]]), 0
         assert solver.doms[x] == (1, 2, 3, 4, 5)
-        solver.push_state()
+        root = solver.doms.copy()
         assert solver.remove_below(x, 2)
         assert not solver.remove_below(x, 2) and not solver.remove_above(x, 5)
         assert solver.doms[x] == (2, 3, 4, 5)
-        solver.push_state()
+        first = solver.doms.copy()
         assert solver.remove_above(x, 4)
         assert solver.doms[x] == (2, 3, 4)
-        solver.push_state()
+        second = solver.doms.copy()
         assert solver.keep(x, (3,))
         assert solver.doms[x] == (3,)
-        solver.pop_state()
+        solver.doms = second
         assert solver.doms[x] == (2, 3, 4)
-        solver.pop_state()
+        solver.doms = first
         assert solver.doms[x] == (2, 3, 4, 5)
-        solver.pop_state()
+        solver.doms = root
         assert solver.doms[x] == (1, 2, 3, 4, 5)
 
     @pytest.mark.parametrize("empty", ["remove_below", "remove_above", "assign"])
     def test_reads_after_an_emptying_removal_and_pop(self, empty):
         solver, (x, y) = solver_with([[1, 2, 3], [7, 8]]), (0, 1)
-        solver.push_state()
+        root = solver.doms.copy()
         solver.remove_value(y, 8)
         assert solver.doms[x] == (1, 2, 3)
-        solver.push_state()
+        first = solver.doms.copy()
         solver.remove_value(x, 2)
         assert solver.doms[x] == (1, 3)
         emptying = {
@@ -170,9 +145,9 @@ class TestTrail:
         with pytest.raises(Inconsistency):
             emptying()
         assert solver.doms[x] == (1, 3)
-        solver.pop_state()
+        solver.doms = first
         assert solver.doms == [(1, 2, 3), (7,)]
-        solver.pop_state()
+        solver.doms = root
         assert solver.doms[y] == (7, 8)
 
     @pytest.mark.parametrize(
@@ -254,11 +229,11 @@ class TestAllDifferentAC:
 
     def test_matching_survives_backtracking(self):
         solver = propagated([[1, 2, 3], [1, 2, 3], [1, 2, 3]], AllDifferentAC())
-        solver.push_state()
+        saved = solver.doms.copy()
         solver.keep(0, (1,))
         solver.fixpoint()
         assert domains_of(solver) == [[1], [2, 3], [2, 3]]
-        solver.pop_state()
+        solver.doms = saved
         solver.fixpoint()
         assert domains_of(solver) == [[1, 2, 3]] * 3
 
@@ -274,11 +249,11 @@ class TestAllDifferentAC:
     def test_full_run_after_a_pop_that_restores_other_domains(self):
         ac = CountingAC()
         solver = propagated([[1, 2, 3]] * 3, ac)
-        solver.push_state()
+        saved = solver.doms.copy()
         solver.keep(0, (1,))
         solver.fixpoint()
         assert ac.repairs == 2
-        solver.pop_state()
+        solver.doms = saved
         solver.fixpoint()
         assert ac.repairs == 3
         assert domains_of(solver) == [[1, 2, 3]] * 3
@@ -287,13 +262,13 @@ class TestAllDifferentAC:
         ac = CountingAC()
         solver = propagated([[1, 2], [1, 2, 3], [1, 2, 3]], ac)
         left = solver.doms.copy()
-        solver.push_state()
+        saved = solver.doms.copy()
         solver.keep(1, (1,))
         solver.keep(2, (2,))
         with pytest.raises(Inconsistency):
             solver.fixpoint()
         assert ac.repairs == 2
-        solver.pop_state()
+        solver.doms = saved
         # The very domains the last completed run left, but the failed run
         # since then has moved the matching.
         assert all(map(lambda a, b: a is b, solver.doms, left))
@@ -311,7 +286,7 @@ class TestAllDifferentAC:
         def drive(cls):
             ac = cls(BugId.BUG_TRAIL_NO_RESTORE)
             rng = SplitMix64(seed)
-            states = []
+            states, saved = [], []
             try:
                 solver = propagated(root, ac)
             except Inconsistency:
@@ -319,12 +294,12 @@ class TestAllDifferentAC:
             for _ in range(60):
                 unfixed = [x for x, d in enumerate(solver.doms) if len(d) > 1]
                 try:
-                    if solver.depth() and (not unfixed or rng.next_below(3) == 0):
-                        solver.pop_state()
+                    if saved and (not unfixed or rng.next_below(3) == 0):
+                        solver.doms = saved.pop()
                         solver.fixpoint()
                     elif unfixed:
                         x = unfixed[rng.next_below(len(unfixed))]
-                        solver.push_state()
+                        saved.append(solver.doms.copy())
                         solver.remove_value(x, solver.doms[x][rng.next_below(len(solver.doms[x]))])
                         solver.fixpoint()
                     states.append((solver.doms.copy(), dict(ac._seen_fixed)))
@@ -634,12 +609,6 @@ class TestSolverBackedStateful:
         assert len(repairs) == 1
         assert [subject.branch_and_filter(op) for op in ops][-1] == root
         assert len(repairs) == 1
-
-    def test_setup_twice_rejected(self):
-        subject = as_filter_with_state(sum_equals_bc(1), 1)
-        subject.setup(Instance.of([[1]]))
-        with pytest.raises(ContractViolationError):
-            subject.setup(Instance.of([[1]]))
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,4 +1,5 @@
-"""Branching operations, the snapshot-stack adapter, and random dives."""
+"""Branching operations, the frame rules of both stateful subjects, and
+random dives."""
 
 import pytest
 
@@ -18,7 +19,9 @@ from propcheck import (
     RestrictDomain,
     SplitMix64,
     all_different,
+    all_different_ac,
     apply_restriction,
+    as_filter_with_state,
     dive_campaign,
     dives,
     make_reference,
@@ -80,42 +83,67 @@ class TestRandomRestriction:
         assert a == b
 
 
+def subjects(arity):
+    """The snapshot adapter and the solver-backed subject, both filtering
+    alldiff to arc consistency; they share one set of frame rules."""
+    return [IncrementalFiltering(arc_alldiff(arity)), as_filter_with_state(all_different_ac(), arity)]
+
+
 class TestIncrementalFiltering:
+    """The frame rules, checked on both subjects."""
+
     def test_setup_push_restrict_pop_round_trip(self):
-        f = IncrementalFiltering(arc_alldiff(3))
-        root = Instance.of([[1, 2], [1, 2], [1, 2, 3]])
-        after_setup = f.setup(root)
-        assert after_setup == Filtered(Instance.of([[1, 2], [1, 2], [3]]))
-        f.branch_and_filter(PUSH)
-        restricted = f.branch_and_filter(RestrictDomain(0, "=", 1))
-        assert restricted == Filtered(Instance.of([[1], [2], [3]]))
-        popped = f.branch_and_filter(POP)
-        assert popped == after_setup
+        for f in subjects(3):
+            root = Instance.of([[1, 2], [1, 2], [1, 2, 3]])
+            after_setup = f.setup(root)
+            assert after_setup == Filtered(Instance.of([[1, 2], [1, 2], [3]]))
+            f.branch_and_filter(PUSH)
+            restricted = f.branch_and_filter(RestrictDomain(0, "=", 1))
+            assert restricted == Filtered(Instance.of([[1], [2], [3]]))
+            popped = f.branch_and_filter(POP)
+            assert popped == after_setup
+
+    def test_nested_frames_restore_each_saved_outcome(self):
+        root = Instance.of([[1, 2, 3], [1, 2, 3]])
+        ops = [PUSH, RestrictDomain(0, "!=", 1), PUSH, RestrictDomain(0, "=", 2), POP, POP]
+        for f in subjects(2):
+            assert f.setup(root) == Filtered(root)
+            outcomes = [f.branch_and_filter(op) for op in ops]
+            assert outcomes == [
+                Filtered(root),
+                Filtered(Instance.of([[2, 3], [1, 2, 3]])),
+                Filtered(Instance.of([[2, 3], [1, 2, 3]])),
+                Filtered(Instance.of([[2], [1, 3]])),
+                Filtered(Instance.of([[2, 3], [1, 2, 3]])),
+                Filtered(root),
+            ]
 
     def test_restriction_to_inconsistency_sticks_until_pop(self):
-        f = IncrementalFiltering(arc_alldiff(2))
-        f.setup(Instance.of([[1, 2], [1, 2]]))
-        f.branch_and_filter(PUSH)
-        assert f.branch_and_filter(RestrictDomain(0, ">", 5)) is INCONSISTENT
-        # Further restrictions on an inconsistent state stay inconsistent.
-        assert f.branch_and_filter(RestrictDomain(1, "=", 1)) is INCONSISTENT
-        assert f.branch_and_filter(POP) == Filtered(Instance.of([[1, 2], [1, 2]]))
+        for f in subjects(2):
+            f.setup(Instance.of([[1, 2], [1, 2]]))
+            f.branch_and_filter(PUSH)
+            assert f.branch_and_filter(RestrictDomain(0, ">", 5)) is INCONSISTENT
+            # Further operations inside the failed frame stay inconsistent.
+            for op in (RestrictDomain(1, "=", 1), PUSH, POP):
+                assert f.branch_and_filter(op) is INCONSISTENT, op
+            assert f.branch_and_filter(POP) == Filtered(Instance.of([[1, 2], [1, 2]]))
 
     def test_pop_without_push_is_contract_error(self):
-        f = IncrementalFiltering(arc_alldiff(1))
-        f.setup(Instance.of([[1]]))
-        with pytest.raises(ContractViolationError):
-            f.branch_and_filter(POP)
+        for f in subjects(1):
+            f.setup(Instance.of([[1]]))
+            with pytest.raises(ContractViolationError, match="^pop with no open frame$"):
+                f.branch_and_filter(POP)
 
     def test_setup_twice_rejected(self):
-        f = IncrementalFiltering(arc_alldiff(1))
-        f.setup(Instance.of([[1]]))
-        with pytest.raises(ContractViolationError):
-            f.setup(Instance.of([[2]]))
+        for f in subjects(1):
+            f.setup(Instance.of([[1]]))
+            with pytest.raises(ContractViolationError, match="^setup called twice$"):
+                f.setup(Instance.of([[2]]))
 
     def test_branch_before_setup_rejected(self):
-        with pytest.raises(ContractViolationError):
-            IncrementalFiltering(arc_alldiff(1)).branch_and_filter(PUSH)
+        for f in subjects(1):
+            with pytest.raises(ContractViolationError, match="^branch_and_filter before setup$"):
+                f.branch_and_filter(PUSH)
 
 
 class IdentityStateful(IncrementalFiltering):
