@@ -89,6 +89,43 @@ class TestTrail:
         assert counting_sum_bc.runs == 2  # the second run removes nothing
         assert domains_of(solver) == [[4, 5], [2, 3]]
 
+    def test_push_remove_pop_restores_exactly(self):
+        # A pop puts the very domains saved at the push back in the solver.
+        subject, x = as_filter_with_state(all_different_fc(), 1), 0
+        root = subject.setup(Instance.of([[1, 2, 3]]))
+        solver = subject._solver
+        saved = solver.doms.copy()
+        subject.branch_and_filter(PUSH)
+        subject.branch_and_filter(RestrictDomain(x, "!=", 2))
+        assert solver.doms[x] == (1, 3)
+        assert subject.branch_and_filter(POP) == root
+        assert subject._solver is solver
+        assert all(map(lambda a, b: a is b, solver.doms, saved))
+
+    def test_nested_frames(self):
+        subject, x = as_filter_with_state(all_different_fc(), 1), 0
+        subject.setup(Instance.of([[1, 2, 3, 4]]))
+        solver, saved = subject._solver, []
+        for op in (RestrictDomain(x, "<", 4), RestrictDomain(x, ">", 2)):
+            saved.append(solver.doms.copy())
+            subject.branch_and_filter(PUSH)
+            subject.branch_and_filter(op)
+        assert solver.doms[x] == (3,)
+        subject.branch_and_filter(POP)
+        assert solver.doms[x] == (1, 2, 3) and solver.doms[x] is saved[1][x]
+        subject.branch_and_filter(POP)
+        assert solver.doms[x] == (1, 2, 3, 4) and solver.doms[x] is saved[0][x]
+
+    def test_pop_with_no_frame_rejected(self):
+        # The rejected pop leaves the solver's domains as they were.
+        subject = as_filter_with_state(all_different_fc(), 1)
+        root = subject.setup(Instance.of([[1, 2]]))
+        doms = subject._solver.doms.copy()
+        with pytest.raises(ContractViolationError, match="^pop with no open frame$"):
+            subject.branch_and_filter(POP)
+        assert subject._solver.doms == doms
+        assert subject.branch_and_filter(PUSH) == root
+
     def test_empty_domain_raises_inconsistency(self):
         solver, x = solver_with([[1, 2]]), 0
         with pytest.raises(Inconsistency):
@@ -481,6 +518,16 @@ class TestSolverBackedStateful:
         assert counting_sum_bc.runs == runs
         subject.branch_and_filter(RestrictDomain(0, "=", 1))
         assert counting_sum_bc.runs > runs
+
+    def test_setup_twice_rejected(self):
+        # The second setup builds no solver; the first root stays current.
+        subject = as_filter_with_state(sum_equals_bc(3), 2)
+        root = subject.setup(Instance.of([[1, 2], [1, 2]]))
+        solver = subject._solver
+        with pytest.raises(ContractViolationError, match="^setup called twice$"):
+            subject.setup(Instance.of([[5], [5]]))
+        assert subject._solver is solver
+        assert subject.branch_and_filter(PUSH) == root
 
     def test_a_pop_runs_the_propagator_again(self, counting_sum_bc):
         subject = as_filter_with_state(sum_equals_bc(6), 3)
