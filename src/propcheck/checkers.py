@@ -2,28 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .domains import Assignment
 
 
-@dataclass(frozen=True, eq=False)
 class Checker:
     """A deterministic, side-effect-free predicate over complete assignments.
 
-    Checkers compare and hash by identity: two checkers with the same arity
-    and name may hold different predicates, and each has its own memo in
-    the reference filters built on it.
+    Checkers are immutable and compare and hash by identity: two checkers
+    with the same arity and name may hold different predicates, and each
+    has its own memo in the reference filters built on it, held in a
+    `weakref.WeakKeyDictionary` keyed by the checker.
     """
 
-    arity: int
-    predicate: Callable[[Assignment], bool]
-    name: str = ""
+    __slots__ = ("arity", "predicate", "name", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(
+        self, arity: int, predicate: Callable[[Assignment], bool], name: str = ""
+    ) -> None:
+        if arity < 1:
             raise ValueError("checker arity must be >= 1")
+        for attr, value in (("arity", arity), ("predicate", predicate), ("name", name)):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to Checker.{attr}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"cannot delete Checker.{attr}")
+
+    def __repr__(self) -> str:
+        return f"Checker(arity={self.arity!r}, predicate={self.predicate!r}, name={self.name!r})"
 
     def __call__(self, assignment: Assignment) -> bool:
         return self.predicate(assignment)

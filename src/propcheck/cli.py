@@ -147,10 +147,34 @@ def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
     return recipe
 
 
+def _checker_name(spec: str, arity: int) -> Optional[str]:
+    """The name of the checker a subject spec filters by, parsed, so that
+    `sum=0` and `sum=00` agree: a reference's checker, `alldiff` for an
+    `alldiff-*` recipe, and None for `sum-bc`, which `parse_recipe` checks
+    against the trusted side's `sum=<c>`."""
+    base = spec.partition("+bug:")[0]
+    _, sep, checker_spec = base.partition(":")
+    if sep:
+        return parse_checker(checker_spec, arity).name
+    return "alldiff" if base.startswith("alldiff-") else None
+
+
+def _check_same_checker(spec: str, trusted_spec: str, arity: int) -> None:
+    """A usage error unless the tested spec filters by the trusted side's checker."""
+    name = _checker_name(spec, arity)
+    if name is not None and name != _checker_name(trusted_spec, arity):
+        raise UsageError(
+            f"tested {spec!r} filters by {name}, not by the checker of trusted {trusted_spec!r}"
+        )
+
+
 def parse_tested_filter(spec: str, trusted_spec: str, arity: int) -> Filter:
     if ":" in spec.partition("+bug:")[0]:
-        return parse_reference_spec(spec, arity)
-    return minisolver.as_filter(parse_recipe(spec, trusted_spec), arity)
+        tested = parse_reference_spec(spec, arity)
+    else:
+        tested = minisolver.as_filter(parse_recipe(spec, trusted_spec), arity)
+    _check_same_checker(spec, trusted_spec, arity)
+    return tested
 
 
 def parse_tested_stateful(
@@ -158,9 +182,12 @@ def parse_tested_stateful(
 ) -> Callable[[], FilterWithState]:
     if ":" in spec.partition("+bug:")[0]:
         base = parse_reference_spec(spec, arity)
-        return lambda: IncrementalFiltering(base)
-    recipe = parse_recipe(spec, trusted_spec)
-    return lambda: minisolver.as_filter_with_state(recipe, arity)
+        factory = lambda: IncrementalFiltering(base)
+    else:
+        recipe = parse_recipe(spec, trusted_spec)
+        factory = lambda: minisolver.as_filter_with_state(recipe, arity)
+    _check_same_checker(spec, trusted_spec, arity)
+    return factory
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ functions of (trusted, tested, config).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .domains import (
     INCONSISTENT,
@@ -20,6 +19,7 @@ from .domains import (
     Filter,
     FilterOutcome,
     Instance,
+    _Validated,
     pointwise_equal,
     pointwise_subset,
 )
@@ -40,8 +40,7 @@ class ComparisonMode(enum.Enum):
     TESTED_SUBSET_OF_TRUSTED = "stronger"
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     original: Instance
     shrunk: Instance
     trusted_outcome: FilterOutcome
@@ -51,15 +50,18 @@ class Failure:
     transcript: Optional[tuple] = None  # BranchOps, dives campaigns only
 
 
-@dataclass(frozen=True)
-class TestReport:
+class _TestReport(NamedTuple):
     passed: bool
     tests_run: int
     seed: int
     failure: Optional[Failure] = None
     redraws: int = 0
 
-    def __post_init__(self) -> None:
+
+class TestReport(_Validated, _TestReport):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.passed != (self.failure is None):
             raise ValueError("a report passes exactly when it carries no failure")
 
@@ -155,8 +157,8 @@ def run_campaign(
             tests_run=tests_run + run,
             seed=cfg.seed,
             redraws=redraws,
-            failure=replace(
-                final, original=inst, shrunk=result.instance, shrunk_minimal=result.minimal
+            failure=final._replace(
+                original=inst, shrunk=result.instance, shrunk_minimal=result.minimal
             ),
         )
     return TestReport(passed=True, tests_run=tests_run, seed=cfg.seed, redraws=redraws)

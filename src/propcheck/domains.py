@@ -17,9 +17,8 @@ and any element that is not a `Domain`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -29,6 +28,23 @@ Assignment = tuple[int, ...]
 
 class ContractViolationError(Exception):
     """A caller or a filter under test broke an interface contract."""
+
+
+class _Validated:
+    """The first base of a named tuple subclass that validates its values:
+    its `_check` runs on every new value, from the constructor, `_make` or
+    `_replace`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Domain(tuple):
@@ -171,12 +187,11 @@ INCONSISTENT = _Inconsistent()
 FilterOutcome = Union[Filtered, _Inconsistent]
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(NamedTuple):
     """A deterministic, contracting filtering algorithm."""
 
     arity: int
-    apply: Callable[[Instance], FilterOutcome] = field(compare=False)
+    apply: Callable[[Instance], FilterOutcome]
     name: str = ""
 
 

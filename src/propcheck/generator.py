@@ -9,11 +9,10 @@ about.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, compress, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .domains import INT32_MAX, INT32_MIN, Domain, Instance
+from .domains import INT32_MAX, INT32_MIN, Domain, Instance, _Validated
 
 _MASK64 = (1 << 64) - 1
 # The splitmix64 increment and its two mixing multipliers.
@@ -56,8 +55,16 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (2.0**-53)
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class _GenConfig(NamedTuple):
+    n_vars: int = 5
+    value_min: int = -3
+    value_max: int = 3
+    density: float = 0.5
+    n_tests: int = 100
+    seed: int = 0
+
+
+class GenConfig(_Validated, _GenConfig):
     """Campaign parameters.
 
     The value range default (-3..3) is deliberately narrow: with wide ranges
@@ -66,14 +73,9 @@ class GenConfig:
     undetectable. See the bug-detection tests for the measured impact.
     """
 
-    n_vars: int = 5
-    value_min: int = -3
-    value_max: int = 3
-    density: float = 0.5
-    n_tests: int = 100
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n_vars < 1:
             raise ValueError("n_vars must be >= 1")
         if self.value_min > self.value_max:
@@ -180,8 +182,7 @@ def _pass(state: int, n: int, below: int) -> bytes:
     return z.to_bytes(16 * n, "little")[::16]
 
 
-@dataclass(frozen=True)
-class ShrinkResult:
+class ShrinkResult(NamedTuple):
     instance: Instance
     minimal: bool
     evaluations: int

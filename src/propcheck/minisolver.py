@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import is_
 from typing import NamedTuple, Optional, Sequence
@@ -295,8 +294,7 @@ RECIPES = {
 }
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     """A propagator construction named in RECIPES, optionally with an injected bug."""
 
     kind: str
@@ -338,7 +336,7 @@ def with_bug(bug: BugId, recipe: Recipe) -> Recipe:
             f"bug {bug.value} does not apply to recipe {recipe.name!r}; "
             f"it accepts {', '.join(b.value for b in accepted)}"
         )
-    return replace(recipe, bug=bug)
+    return recipe._replace(bug=bug)
 
 
 def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:

@@ -10,9 +10,7 @@ operation, so state divergence surfaces at the earliest observable point.
 from __future__ import annotations
 
 import abc
-import logging
-from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Sequence, Union
+from typing import Callable, Generator, NamedTuple, Optional, Sequence, Union
 
 from .domains import (
     INCONSISTENT,
@@ -22,6 +20,7 @@ from .domains import (
     Filtered,
     FilterOutcome,
     Instance,
+    _Validated,
     is_leaf,
     pointwise_equal,
 )
@@ -31,26 +30,42 @@ from .generator import shrink  # noqa: F401  (bench/tracing.py patches it by nam
 from .reference import EnumerationCapExceeded
 
 
-@dataclass(frozen=True)
-class Push:
-    pass
+class _Marker:
+    """A branching operation without fields: equal to every instance of its class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class Pop:
-    pass
+class Push(_Marker):
+    __slots__ = ()
+
+
+class Pop(_Marker):
+    __slots__ = ()
 
 
 RELATIONS = ("=", "!=", "<", ">")
 
 
-@dataclass(frozen=True)
-class RestrictDomain:
+class _RestrictDomain(NamedTuple):
     index: int
     relation: str
     constant: int
 
-    def __post_init__(self) -> None:
+
+class RestrictDomain(_Validated, _RestrictDomain):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.relation not in RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
 
@@ -63,14 +78,15 @@ POP = Pop()
 
 def restricted(domains: Sequence[Domain], r: RestrictDomain) -> Domain:
     """The domain at `r.index` cut to the values that satisfy `r`."""
-    if not 0 <= r.index < len(domains):
-        raise ContractViolationError(f"restriction index {r.index} out of range")
-    d, c = domains[r.index], r.constant
-    if r.relation == "=":
+    index, relation, c = r
+    if not 0 <= index < len(domains):
+        raise ContractViolationError(f"restriction index {index} out of range")
+    d = domains[index]
+    if relation == "=":
         kept = [v for v in d if v == c]
-    elif r.relation == "!=":
+    elif relation == "!=":
         kept = [v for v in d if v != c]
-    elif r.relation == "<":
+    elif relation == "<":
         kept = [v for v in d if v < c]
     else:
         kept = [v for v in d if v > c]
@@ -169,13 +185,16 @@ class IncrementalFiltering(SnapshotStack):
         return restricted if restricted is INCONSISTENT else self._base.apply(restricted.instance)
 
 
-@dataclass(frozen=True)
-class DiveConfig:
+class _DiveConfig(NamedTuple):
     nb_dives: int = 20
     max_depth: int = 64
     seed: int = 0  # used by dives() without an rng; dive_campaign draws its own
 
-    def __post_init__(self) -> None:
+
+class DiveConfig(_Validated, _DiveConfig):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.nb_dives < 1:
             raise ValueError("nb_dives must be >= 1")
         if self.max_depth < 1:
@@ -273,6 +292,8 @@ def dives(
                 current = yield random_restriction(rng, current.instance)
                 depth += 1
             if not is_leaf(current):
+                import logging  # only here, so that importing propcheck skips it
+
                 logging.getLogger(__name__).warning(
                     "dive reached max_depth=%d without a leaf; treating as one",
                     cfg.max_depth,

@@ -148,6 +148,28 @@ class TestRun:
         assert code == EXIT_USAGE
         assert out == ""  # nothing but JSON ever goes to stdout
 
+    @pytest.mark.parametrize(
+        "mode,trusted,tested",
+        [
+            ("check", "arc:sum=0", "alldiff-ac"),
+            ("check", "boundz:sum=0", "boundz:sum=1"),
+            ("stronger", "boundz:alldiff", "boundd:sum=0"),
+        ],
+    )
+    def test_different_checkers_are_a_usage_error(self, capsys, mode, trusted, tested):
+        code, out, err = run_cli(
+            capsys, "run", "--mode", mode, "--trusted", trusted, "--tested", tested, "--seed", "0"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_checkers_are_compared_parsed(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "run", "--mode", "check", "--trusted", "boundz:sum=0",
+            "--tested", "boundz:sum=00", "--tests", "5",
+        )
+        assert code == EXIT_PASS
+
     def test_value_range_past_the_draw_bound(self, capsys):
         # 5 variables over the whole int32 range would take 5 * 2**32 draws
         # per instance; the bound is 1,000,000.
@@ -224,6 +246,13 @@ class TestDive:
             capsys,
             "dive", "--trusted", "arc:alldiff", "--tested", "alldiff-ac",
             "--vars", "2", *extra,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_different_checkers_are_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dive", "--trusted", "arc:sum=0", "--tested", "alldiff-fc", "--seed", "0"
         )
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -354,6 +383,22 @@ class TestReplay:
         path.write_text(json.dumps(doc))
         code, _, _ = run_cli(capsys, "replay", "--report", str(path))
         assert code == EXIT_NO_REPRODUCE
+
+    @pytest.mark.parametrize("tested", ["alldiff-ac", "boundz:sum=1"])
+    def test_report_over_different_checkers_is_usage_error(self, capsys, tmp_path, tested):
+        path = self.capture_failing_report(
+            capsys, tmp_path,
+            "run", "--mode", "check",
+            "--trusted", "boundz:sum=0",
+            "--tested", "sum-bc+bug:SUM_REVERSED_BOUND",
+            "--vars", "3", "--tests", "100",
+        )
+        doc = json.loads(path.read_text())
+        doc["tested"] = tested
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", "--report", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_passing_report_is_usage_error(self, capsys, tmp_path):
         code, out, _ = run_cli(
