@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, JSON documents, reproducibility."""
 
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -691,3 +693,37 @@ class TestDocuments:
             "--vars", "2", "--tests", "5", "--seed", big,
         )
         assert doc["seed"] == big
+
+
+class TestSpecGrid:
+    """The exit code and stdout of every subject-spec pair, valid or not."""
+
+    TRUSTED = (
+        "arc:alldiff", "boundz:sum=0", "boundd:sum=00", "range:sum=1", "arc:sum=x", "sum-bc",
+        "alldiff-fc", "bogus:sum=0", "arc:foo", "arc:alldiff+bug:TRAIL_NO_RESTORE", "boundz:",
+        ":sum=0", "",
+    )
+    TESTED = TRUSTED + (
+        "alldiff-ac", "alldiff-fc+bug:SKIP_LAST", "sum-bc+bug:SUM_REVERSED_BOUND",
+        "sum-bc+bug:TRAIL_NO_RESTORE", "alldiff-ac+bug:SUM_REVERSED_BOUND", "sum-bc+bug:",
+        "sum-bc+bug:NONE", "alldiff-xx", "boundz:sum=0+bug:X",
+    )
+    COMMANDS = (
+        ("run", "--mode", "check", "--tests", "5"),
+        ("run", "--mode", "stronger", "--tests", "5"),
+        ("dive", "--dives", "3"),
+    )
+    # 858 commands: 798 exit 2, 42 exit 0 and 18 exit 1, each of whose reports replays.
+    DIGEST = "76f7a9b89f12600e15ec55baa54122545ca2f1fedfbe05571859d4d53e01687e"
+
+    def test_outputs_and_replays_are_pinned(self, capsys, tmp_path):
+        digest, report = hashlib.sha256(), tmp_path / "report.json"
+        for trusted, tested, command in itertools.product(self.TRUSTED, self.TESTED, self.COMMANDS):
+            argv = (*command, "--trusted", trusted, "--tested", tested, "--vars", "3", "--seed", "1")
+            code, out, _ = run_cli(capsys, *argv)
+            digest.update(json.dumps([argv, code, out]).encode())
+            if code == EXIT_COUNTEREXAMPLE:
+                report.write_text(out)
+                code, out, _ = run_cli(capsys, "replay", "--report", str(report))
+                digest.update(json.dumps(["replay", code, out]).encode())
+        assert digest.hexdigest() == self.DIGEST
