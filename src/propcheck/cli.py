@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* run    -- check/stronger campaign between a reference filter and a recipe
+* run    -- check/stronger campaign of a reference filter against a recipe or reference
 * dive   -- stateful campaign of random dives
 * oracle -- filter one JSON instance through a reference filter
 * replay -- re-execute the failing comparison recorded in a report
@@ -15,7 +15,6 @@ exceeded, 4 replay did not reproduce.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import functools
 import json
 import os
@@ -68,126 +67,128 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # Spec string parsing
+#
+# A subject spec names a level or a recipe, and the checker it filters by as
+# a pair (kind, total): `boundz:sum=0` filters by ("sum", 0), and a recipe by
+# its kind with no total, which a sum recipe takes from the trusted side. A
+# command builds one `Checker` from the trusted pair for both sides.
+
+_CheckerSpec = tuple[str, Optional[int]]  # ("alldiff", None) or ("sum", total)
+_Factory = Callable[[], FilterWithState]
 
 
-def _sum_total(spec: str) -> Optional[int]:
-    """The total of a sum=<c> checker spec; None for any other spec."""
-    if not spec.startswith("sum="):
-        return None
-    try:
-        return int(spec[4:])
-    except ValueError:
-        raise UsageError(f"invalid sum target in checker {spec!r}")
-
-
-def _new_checker(spec: str, arity: int) -> checkers.Checker:
-    if spec == "alldiff":
+def _build_checker(checker: _CheckerSpec, arity: int) -> checkers.Checker:
+    kind, total = checker
+    if kind == "alldiff":
         return checkers.all_different(arity)
-    total = _sum_total(spec)
-    if total is None:
-        raise UsageError(f"unknown checker {spec!r}; valid checkers: alldiff, sum=<c>")
     return checkers.sum_equals(total, arity)
 
 
-# How `parse_checker` makes a checker. `main` sets a cache of `_new_checker`
-# for the length of one command, so the reference filters of a command share
-# one checker per spec, and with it the memo of `reference.make_reference`;
-# no checker outlives the command.
-_checker_maker = contextvars.ContextVar("_checker_maker", default=_new_checker)
-
-
-def parse_checker(spec: str, arity: int) -> checkers.Checker:
-    return _checker_maker.get()(spec, arity)
-
-
-def _level(name: str) -> reference.ConsistencyLevel:
-    if name not in _LEVELS:
-        raise UsageError(
-            f"unknown consistency level {name!r}; "
-            f"valid levels: {', '.join(sorted(_LEVELS))}"
-        )
-    return _LEVELS[name]
-
-
-def parse_reference_spec(spec: str, arity: int) -> Filter:
-    level_name, sep, checker_spec = spec.partition(":")
+def _parse_reference(spec: str) -> tuple[_CheckerSpec, reference.ConsistencyLevel]:
+    base, bug_sep, _ = spec.partition("+bug:")
+    level_name, sep, checker_spec = base.partition(":")
     if not sep:
         raise UsageError(
-            f"reference spec {spec!r} must look like <level>:<checker>, "
-            f"e.g. boundz:sum=15"
+            f"reference spec {spec!r} must look like <level>:<checker>, e.g. boundz:sum=15"
         )
-    return reference.make_reference(_level(level_name), parse_checker(checker_spec, arity))
+    if bug_sep:
+        raise UsageError(
+            f"+bug: applies only to a recipe, not to reference {spec!r}; "
+            f"valid recipes: {', '.join(minisolver.RECIPES)}"
+        )
+    if level_name not in _LEVELS:
+        valid = ", ".join(sorted(_LEVELS))
+        raise UsageError(f"unknown consistency level {level_name!r}; valid levels: {valid}")
+    level = _LEVELS[level_name]
+    if checker_spec == "alldiff":
+        return ("alldiff", None), level
+    if not checker_spec.startswith("sum="):
+        raise UsageError(f"unknown checker {checker_spec!r}; valid checkers: alldiff, sum=<c>")
+    try:
+        return ("sum", int(checker_spec[4:])), level
+    except ValueError:
+        raise UsageError(f"invalid sum target in checker {checker_spec!r}")
 
 
-def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
+def _parse_spec(spec: str) -> tuple[_CheckerSpec, Any]:
+    """The checker `spec` filters by, and its level or recipe."""
     base, bug_sep, bug_part = spec.partition("+bug:")
+    if ":" in base:
+        return _parse_reference(spec)
     kind = minisolver.RECIPES.get(base)
     if kind is None:
         raise UsageError(
             f"unknown recipe {base!r}; valid recipes: {', '.join(minisolver.RECIPES)} "
             f"(or a <level>:<checker> reference)"
         )
-    total = _sum_total(trusted_spec.partition(":")[2]) if kind.needs_total else None
-    if kind.needs_total and total is None:
-        raise UsageError(
-            f"recipe {base} needs a sum=<c> checker on the trusted side to know its target"
-        )
-    recipe = minisolver.Recipe(base, total)
+    recipe = minisolver.Recipe(base)
     if bug_sep:
         name = bug_part if bug_part.startswith("BUG_") or bug_part == "NONE" else f"BUG_{bug_part}"
         try:
-            bug = minisolver.BugId(name)
+            recipe = minisolver.with_bug(minisolver.BugId(name), recipe)
         except ValueError:
             valid = ", ".join(b.value for b in minisolver.BugId)
             raise UsageError(f"unknown bug id {bug_part!r}; valid: {valid}")
-        try:
-            recipe = minisolver.with_bug(bug, recipe)
         except ContractViolationError as exc:
             raise UsageError(str(exc))
+    return (kind.checker, None), recipe
+
+
+def _tested(checker: _CheckerSpec, tested: tuple, trusted_spec: str, tested_spec: str) -> Any:
+    """The level or recipe of the parsed `tested` spec, which must filter by
+    the trusted side's `checker`: a reference names that checker, and a
+    recipe names its kind and takes a sum's total from it (a trusted sum
+    recipe has none to give)."""
+    (kind, total), subject = tested
+    if isinstance(subject, minisolver.Recipe):
+        total = checker[1]
+        subject = subject._replace(total=total)
+    if (kind, total) != checker or kind == "sum" and total is None:
+        raise UsageError(
+            f"tested {tested_spec!r} filters by another checker than trusted {trusted_spec!r}"
+        )
+    return subject
+
+
+def _tested_side(subject: Any, checker: checkers.Checker, arity: int) -> tuple[Filter, _Factory]:
+    """The tested side's static filter and stateful factory."""
+    if isinstance(subject, minisolver.Recipe):
+        factory = lambda: minisolver.as_filter_with_state(subject, arity)
+        return minisolver.as_filter(subject, arity), factory
+    base = reference.make_reference(subject, checker)
+    return base, lambda: IncrementalFiltering(base)
+
+
+def _sides(trusted_spec: str, tested_spec: str, arity: int) -> tuple[Filter, Filter, _Factory]:
+    """A command's trusted reference filter, and its tested side's static
+    filter and stateful factory, all over one checker."""
+    checker, level = _parse_reference(trusted_spec)
+    subject = _tested(checker, _parse_spec(tested_spec), trusted_spec, tested_spec)
+    built = _build_checker(checker, arity)
+    return (reference.make_reference(level, built), *_tested_side(subject, built, arity))
+
+
+def parse_reference_spec(spec: str, arity: int) -> Filter:
+    checker, level = _parse_reference(spec)
+    return reference.make_reference(level, _build_checker(checker, arity))
+
+
+def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
+    """The recipe `spec` names; only a sum recipe reads `trusted_spec`, for its total."""
+    parsed = _parse_spec(spec)
+    (kind, _), recipe = parsed
+    if not isinstance(recipe, minisolver.Recipe):
+        raise UsageError(f"{spec!r} names a reference, not a recipe")
+    if kind == "sum":
+        recipe = _tested(_parse_spec(trusted_spec)[0], parsed, trusted_spec, spec)
     return recipe
 
 
-def _checker_name(spec: str, arity: int) -> Optional[str]:
-    """The name of the checker a subject spec filters by, parsed, so that
-    `sum=0` and `sum=00` agree: a reference's checker, `alldiff` for an
-    `alldiff-*` recipe, and None for `sum-bc`, which `parse_recipe` checks
-    against the trusted side's `sum=<c>`."""
-    base = spec.partition("+bug:")[0]
-    _, sep, checker_spec = base.partition(":")
-    if sep:
-        return parse_checker(checker_spec, arity).name
-    return "alldiff" if base.startswith("alldiff-") else None
-
-
-def _check_same_checker(spec: str, trusted_spec: str, arity: int) -> None:
-    """A usage error unless the tested spec filters by the trusted side's checker."""
-    name = _checker_name(spec, arity)
-    if name is not None and name != _checker_name(trusted_spec, arity):
-        raise UsageError(
-            f"tested {spec!r} filters by {name}, not by the checker of trusted {trusted_spec!r}"
-        )
-
-
 def parse_tested_filter(spec: str, trusted_spec: str, arity: int) -> Filter:
-    if ":" in spec.partition("+bug:")[0]:
-        tested = parse_reference_spec(spec, arity)
-    else:
-        tested = minisolver.as_filter(parse_recipe(spec, trusted_spec), arity)
-    _check_same_checker(spec, trusted_spec, arity)
-    return tested
-
-
-def parse_tested_stateful(
-    spec: str, trusted_spec: str, arity: int
-) -> Callable[[], FilterWithState]:
-    if ":" in spec.partition("+bug:")[0]:
-        base = parse_reference_spec(spec, arity)
-        factory = lambda: IncrementalFiltering(base)
-    else:
-        recipe = parse_recipe(spec, trusted_spec)
-        factory = lambda: minisolver.as_filter_with_state(recipe, arity)
-    _check_same_checker(spec, trusted_spec, arity)
-    return factory
+    """The tested side's static filter; `trusted_spec` may also name a recipe."""
+    checker = _parse_spec(trusted_spec)[0]
+    subject = _tested(checker, _parse_spec(spec), trusted_spec, spec)
+    return _tested_side(subject, _build_checker(checker, arity), arity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +326,7 @@ def _print_report(report: TestReport, mode: str, args: argparse.Namespace, **ext
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _gen_config(args)
-    trusted = parse_reference_spec(args.trusted, args.vars)
-    tested = parse_tested_filter(args.tested, args.trusted, args.vars)
+    trusted, tested, _ = _sides(args.trusted, args.tested, args.vars)
     runner = check if args.mode == "check" else stronger
     return _print_report(runner(trusted, tested, cfg), args.mode, args, tests=args.tests)
 
@@ -337,10 +337,8 @@ def cmd_dive(args: argparse.Namespace) -> int:
         dive_cfg = DiveConfig(nb_dives=args.dives, max_depth=args.max_depth)
     except ValueError as exc:
         raise UsageError(str(exc))
-    trusted_base = parse_reference_spec(args.trusted, args.vars)
-    trusted_factory = lambda: IncrementalFiltering(trusted_base)
-    tested_factory = parse_tested_stateful(args.tested, args.trusted, args.vars)
-    report = dive_campaign(trusted_factory, tested_factory, cfg, dive_cfg)
+    trusted, _, tested_factory = _sides(args.trusted, args.tested, args.vars)
+    report = dive_campaign(lambda: IncrementalFiltering(trusted), tested_factory, cfg, dive_cfg)
     return _print_report(report, "dives", args, dives=args.dives, maxDepth=args.max_depth)
 
 
@@ -352,8 +350,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     inst = instance_from_doc(doc)
     # A level function: a make_reference filter would build a table over the
     # instance for the one call, and a table pays back only over many calls.
-    apply = _LEVEL_FUNCTIONS[_level(args.level)]
-    print(json.dumps(outcome_to_doc(apply(parse_checker(args.checker, inst.arity), inst))))
+    checker, level = _parse_reference(f"{args.level}:{args.checker}")
+    apply = _LEVEL_FUNCTIONS[level]
+    print(json.dumps(outcome_to_doc(apply(_build_checker(checker, inst.arity), inst))))
     return EXIT_PASS
 
 
@@ -398,18 +397,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
         outcome_from_doc(ce.get("trusted")),
         outcome_from_doc(ce.get("tested")),
     )
-    trusted = parse_reference_spec(trusted_spec, arity)
+    trusted, tested, tested_factory = _sides(trusted_spec, tested_spec, arity)
     if mode == "dives":
         ops = [branch_op_from_doc(op) for op in _field(ce, "transcript", list)]
-        tested = parse_tested_stateful(tested_spec, trusted_spec, arity)()
-        failure = replay(shrunk, ops, IncrementalFiltering(trusted), tested)
+        failure = replay(shrunk, ops, IncrementalFiltering(trusted), tested_factory())
         if failure is not None and len(failure.transcript) < len(ops):
             return _not_reproduced(
                 f"the outcomes already differ after {len(failure.transcript)} "
                 f"of the {len(ops)} transcript ops"
             )
     else:
-        tested = parse_tested_filter(tested_spec, trusted_spec, arity)
         failure = disagreement(trusted, tested, shrunk, ComparisonMode(mode))
     if failure is None:
         return _not_reproduced("the filters agree on the shrunk instance")
@@ -486,7 +483,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    token = _checker_maker.set(functools.cache(_new_checker))
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
@@ -502,8 +498,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except reference.EnumerationCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_CAP
-    finally:
-        _checker_maker.reset(token)
 
 
 if __name__ == "__main__":

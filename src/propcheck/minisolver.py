@@ -279,18 +279,19 @@ class AllDifferentAC(Propagator):
 
 
 class RecipeKind(NamedTuple):
-    """A propagator, whether it takes a sum total first, and its bugs besides NONE."""
+    """A propagator, the checker it filters by (`sum` or `alldiff`), and its
+    bugs besides NONE. A sum propagator takes the checker's total first."""
 
     propagator: type
-    needs_total: bool
+    checker: str
     bugs: tuple[BugId, ...]
 
 
 _TRAIL = BugId.BUG_TRAIL_NO_RESTORE
 RECIPES = {
-    "sum-bc": RecipeKind(SumEqualsBC, True, (BugId.BUG_SUM_REVERSED_BOUND, _TRAIL)),
-    "alldiff-fc": RecipeKind(AllDifferentFC, False, (BugId.BUG_ALLDIFF_FC_SKIP_LAST, _TRAIL)),
-    "alldiff-ac": RecipeKind(AllDifferentAC, False, (_TRAIL,)),
+    "sum-bc": RecipeKind(SumEqualsBC, "sum", (BugId.BUG_SUM_REVERSED_BOUND, _TRAIL)),
+    "alldiff-fc": RecipeKind(AllDifferentFC, "alldiff", (BugId.BUG_ALLDIFF_FC_SKIP_LAST, _TRAIL)),
+    "alldiff-ac": RecipeKind(AllDifferentAC, "alldiff", (_TRAIL,)),
 }
 
 
@@ -298,7 +299,7 @@ class Recipe(NamedTuple):
     """A propagator construction named in RECIPES, optionally with an injected bug."""
 
     kind: str
-    total: Optional[int] = None  # the target of a kind that needs one
+    total: Optional[int] = None  # the total of a sum recipe's checker
     bug: BugId = BugId.NONE
 
     @property
@@ -311,10 +312,8 @@ class Recipe(NamedTuple):
         return f"{self.name}+bug:{self.bug.value}"
 
     def propagator(self) -> Propagator:
-        kind = RECIPES[self.kind]
-        if kind.needs_total:
-            return kind.propagator(self.total, self.bug)
-        return kind.propagator(self.bug)
+        totals = () if self.total is None else (self.total,)
+        return RECIPES[self.kind].propagator(*totals, self.bug)
 
 
 def sum_equals_bc(total: int) -> Recipe:

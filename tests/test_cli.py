@@ -165,6 +165,18 @@ class TestRun:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("side", ["--trusted", "--tested"])
+    def test_bug_after_a_reference_names_the_recipes(self, capsys, side):
+        specs = {"--trusted": "arc:alldiff", "--tested": "arc:alldiff"}
+        specs[side] = "arc:alldiff+bug:TRAIL_NO_RESTORE"
+        code, out, err = run_cli(
+            capsys, "run", "--mode", "check", *itertools.chain(*specs.items()), "--seed", "0"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "+bug: applies only to a recipe" in err
+        assert all(name in err for name in RECIPES)
+
     def test_checkers_are_compared_parsed(self, capsys):
         code, _, _ = run_cli(
             capsys, "run", "--mode", "check", "--trusted", "boundz:sum=0",
@@ -540,8 +552,7 @@ class TestRecipeRegistry:
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         for name, kind in RECIPES.items():
             bugs = ", ".join(f"`{b.value}`" for b in kind.bugs)
-            needs = "yes" if kind.needs_total else "no"
-            row = f"| `{name}` | `{kind.propagator.__name__}` | {needs} | {bugs} |"
+            row = f"| `{name}` | `{kind.propagator.__name__}` | `{kind.checker}` | {bugs} |"
             assert row in readme.splitlines()
 
 
@@ -649,8 +660,9 @@ class TestCheckersPerCommand:
         [
             ("dive", "--trusted", "boundz:sum=0", "--tested", "range:sum=0", "--dives", "3"),
             ("run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", "sum-bc"),
+            ("run", "--mode", "stronger", "--trusted", "boundz:sum=0", "--tested", "boundd:sum=00"),
         ],
-        ids=["dive", "recipe"],
+        ids=["dive", "recipe", "spelling"],
     )
     def test_one_checker_per_command(self, capsys, counted, argv):
         made, _ = counted
