@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from .domains import Assignment
@@ -13,7 +14,8 @@ class Checker:
     Checkers are immutable and compare and hash by identity: two checkers
     with the same arity and name may hold different predicates, and each
     has its own memo in the reference filters built on it, held in a
-    `weakref.WeakKeyDictionary` keyed by the checker.
+    `weakref.WeakKeyDictionary` keyed by the checker, so the memo lives as
+    long as the checker. The bundled factories below share their checkers.
     """
 
     __slots__ = ("arity", "predicate", "name", "__weakref__")
@@ -39,11 +41,28 @@ class Checker:
         return self.predicate(assignment)
 
 
+# How many checkers each bundled factory keeps alive for reuse.
+SHARED_CHECKERS = 16
+
+
+@functools.lru_cache(maxsize=SHARED_CHECKERS, typed=True)
 def all_different(arity: int) -> Checker:
-    """All variables take pairwise distinct values."""
+    """All variables take pairwise distinct values.
+
+    One shared checker per `arity`, of which the 16 (`SHARED_CHECKERS`)
+    most recently used are kept, so the reference filters over it share one
+    memo, solution table included, across commands and calls.
+    """
     return Checker(arity, lambda a: len(set(a)) == len(a), name="alldiff")
 
 
+@functools.lru_cache(maxsize=SHARED_CHECKERS, typed=True)
 def sum_equals(total: int, arity: int) -> Checker:
-    """The values sum to `total`."""
+    """The values sum to `total`.
+
+    One shared checker per `(total, arity)`, kept as `all_different` keeps
+    its checkers. Equal arguments of different types, such as `True` and
+    `1`, get different checkers, so a checker's name never depends on which
+    call came first.
+    """
     return Checker(arity, lambda a: sum(a) == total, name=f"sum={total}")

@@ -71,7 +71,8 @@ class UsageError(Exception):
 # A subject spec names a level or a recipe, and the checker it filters by as
 # a pair (kind, total): `boundz:sum=0` filters by ("sum", 0), and a recipe by
 # its kind with no total, which a sum recipe takes from the trusted side. A
-# command builds one `Checker` from the trusted pair for both sides.
+# command gets one `Checker` from the trusted pair for both sides, and the
+# bundled factories give every command over one pair that same checker.
 
 _CheckerSpec = tuple[str, Optional[int]]  # ("alldiff", None) or ("sum", total)
 _Factory = Callable[[], FilterWithState]

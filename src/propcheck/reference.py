@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 import weakref
 from typing import Callable, Optional, Sequence
 
@@ -100,7 +101,11 @@ class _Memo:
     Nothing here depends on the level: a witness is a solution of the
     checker, and each call checks it against its own level's lists, while
     the table covers whatever lists it has seen. So every filter over one
-    `Checker` object, at any level and cap, shares one memo (`_memos`).
+    `Checker` object, at any level and cap, shares one memo (`_memos`), and
+    the memo of a bundled checker lasts the process. `lock` serializes the
+    lookups, so threads may share a memo: each solution a lookup adds holds
+    a value outside the region it found, so it never enters the `valid` of
+    a call still scanning lists inside that region.
 
     Besides the witnesses, it keeps a table of the checker's solutions
     over a region: `bits[k][v]` is an int whose bit `n` is set when the
@@ -111,12 +116,13 @@ class _Memo:
     memo's life the checker is called once per tuple of the region.
     """
 
-    __slots__ = ("witness", "bits", "count")
+    __slots__ = ("witness", "bits", "count", "lock")
 
     def __init__(self, arity: int) -> None:
         self.witness: Witnesses = {}
         self.bits: list[dict[int, int]] = [{} for _ in range(arity)]
         self.count = 0  # the number of solutions in the table
+        self.lock = threading.Lock()
 
     def lookup(self, lists: Sequence[Sequence[int]], pred, cap: int) -> Optional[int]:
         """The solutions of the table inside `lists` as a bitset, or None.
@@ -232,7 +238,8 @@ def _filter(
     witness: Witnesses = {}
     if memo is not None and math.prod([d[-1] - d[0] + 1 for d in inst]) <= cap:
         bits = memo.bits
-        valid = memo.lookup(lists, pred, cap)
+        with memo.lock:
+            valid = memo.lookup(lists, pred, cap)
         if valid is not None:
 
             def rehull() -> None:
@@ -353,7 +360,10 @@ def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT
     one per (variable, value), for the calls whose grown region would pass
     their cap. Outcomes equal the level function's. The first call pays for
     a table over its lists, so for one instance the level function is
-    cheaper.
+    cheaper. The bundled factories share one checker per argument tuple,
+    so later commands and calls over a bundled constraint answer from the
+    table that earlier ones grew; after wide lists it stays wide, and
+    narrow calls combine longer bitsets.
     """
     memo = _memos.setdefault(checker, _Memo(checker.arity))
     return Filter(

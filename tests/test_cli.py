@@ -31,7 +31,7 @@ from propcheck.cli import (
     outcome_to_doc,
     parse_recipe,
 )
-from propcheck import checkers, cli
+from propcheck import checkers, cli, reference
 from propcheck.domains import INCONSISTENT, Filtered
 from propcheck.minisolver import RECIPES, BugId
 
@@ -596,7 +596,10 @@ class TestSharedParser:
 
 
 class TestCheckersPerCommand:
-    """Each command parses a checker spec once; no checker outlives the command."""
+    """Each command parses a checker spec once and builds one checker for both
+    sides. The bundled factories share that checker, and its memo, across
+    commands; these tests wrap the factory, so each command here gets a new
+    counted checker."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -680,6 +683,27 @@ class TestCheckersPerCommand:
         path.write_text(out)
         assert run_cli(capsys, "replay", "--report", str(path))[0] == EXIT_COUNTEREXAMPLE
         assert len(made) == 2
+
+
+class TestSharedChecker:
+    """The bundled checkers, and so their memos, outlive the command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", "sum-bc"),
+            ("dive", "--trusted", "arc:alldiff", "--tested", "alldiff-ac", "--dives", "5"),
+        ],
+        ids=["run", "dive"],
+    )
+    def test_the_same_command_again_grows_no_table(self, capsys, argv):
+        checker = checkers.sum_equals(0, 5) if "sum-bc" in argv else checkers.all_different(5)
+        code, out, _ = run_cli(capsys, *argv, "--seed", "4")
+        memo = reference._memos[checker]
+        grown = memo.count, [sorted(b) for b in memo.bits]
+        assert code == EXIT_PASS and memo.count > 0
+        assert run_cli(capsys, *argv, "--seed", "4")[:2] == (code, out)
+        assert (memo.count, [sorted(b) for b in memo.bits]) == grown
 
 
 class TestDocuments:

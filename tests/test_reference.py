@@ -5,10 +5,14 @@ scratch (naive loops, no shared helpers) so the two routes stay independent.
 """
 
 import array
+import gc
 import hashlib
 import itertools
 import math
 import operator
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -36,6 +40,8 @@ from propcheck import (
     solutions,
     sum_equals,
 )
+from propcheck import reference
+from propcheck.checkers import SHARED_CHECKERS
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,12 @@ def test_support_search_past_the_cap_raises():
             f(all_different(3), inst, cap=99)
 
 
+def unshared(checker):
+    """A checker like `checker` with a memo of its own: the bundled factories
+    share one checker, and so one memo, per argument tuple."""
+    return Checker(checker.arity, checker.predicate, checker.name)
+
+
 def counting(checker):
     calls = []
 
@@ -452,14 +464,14 @@ def test_warm_witnesses_do_not_change_the_cap():
     # The hull product of `big` passes the cap, and so does each interval
     # support search, while each domain support search fits. The warm-up
     # instances leave a valid witness for both bounds of every variable,
-    # which must not spare `big` a search that passes the cap. The fresh
-    # filter has a checker of its own, so it shares no memo with `warm`.
+    # which must not spare `big` a search that passes the cap. Each filter
+    # has a checker of its own, so the fresh one shares no memo with `warm`.
     big = Instance.of([[-3, 3], [-3, 3]])
     for level in ConsistencyLevel:
-        warm = make_reference(level, sum_equals(0, 2), cap=5)
+        warm = make_reference(level, unshared(sum_equals(0, 2)), cap=5)
         for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
             assert warm.apply(inst) == Filtered(inst)
-        fresh = make_reference(level, sum_equals(0, 2), cap=5)
+        fresh = make_reference(level, unshared(sum_equals(0, 2)), cap=5)
         assert outcome_or_cap(warm.apply, big) == outcome_or_cap(fresh.apply, big), level
 
 
@@ -638,14 +650,14 @@ def test_reference_filters_answer_as_the_level_functions_on_every_instance(
     # Filters at every level share each checker's memo, so a call lands
     # inside a region that earlier calls grew or outside it. Under the
     # smaller cap the region stops growing at half the box, and the calls
-    # past it are searched.
+    # past it are searched. Each checker starts with an empty memo.
     box = (hi - lo + 1) ** arity
     cap = box // 2 if capped else DEFAULT_CAP
     instances = every_instance(arity, lo, hi)
     for checker in (
-        all_different(arity),
-        sum_equals(0, arity),
-        sum_equals(2, arity),
+        unshared(all_different(arity)),
+        unshared(sum_equals(0, arity)),
+        unshared(sum_equals(2, arity)),
         Checker(arity, lambda a: False, "false"),
     ):
         filters = {level: make_reference(ConsistencyLevel(level), checker, cap=cap)
@@ -684,14 +696,17 @@ def test_a_moved_bound_repeats_the_pass_with_the_table_and_with_the_search(
 ):
     # One filter answers from a table over the hulls, the other has a cap
     # below the hull product, so it searches; each support search fits.
+    # Each has a checker, and so a memo, of its own.
     inst = Instance.of(domains)
     hull_product = math.prod(max(d) - min(d) + 1 for d in domains)
     want = LEVEL_FUNCS[level](sum_equals(0, 3), inst)
     assert want == as_outcome(expected) == as_outcome(brute_level(sum_equals(0, 3), inst, level))
-    table = make_reference(ConsistencyLevel(level), sum_equals(0, 3))
+    table = make_reference(ConsistencyLevel(level), unshared(sum_equals(0, 3)))
     assert table.apply(inst) == want
     assert region_size(memo_of(table)) == hull_product and memo_of(table).witness == {}
-    search = make_reference(ConsistencyLevel(level), sum_equals(0, 3), cap=hull_product - 1)
+    search = make_reference(
+        ConsistencyLevel(level), unshared(sum_equals(0, 3)), cap=hull_product - 1
+    )
     assert search.apply(inst) == want
     assert region_size(memo_of(search)) == 0
 
@@ -704,7 +719,7 @@ def test_no_table_when_the_box_passes_the_cap():
     low = Instance.of([range(0, 5), range(0, 5), range(0, 4)])
     high = Instance.of([range(5, 10), range(5, 10), range(6, 10)])
     for level, func in LEVEL_FUNCS.items():
-        checker = sum_equals(12, 3)
+        checker = unshared(sum_equals(12, 3))
         f = make_reference(ConsistencyLevel(level), checker, cap=100)
         for _ in range(2):
             for inst in (low, high):
@@ -755,11 +770,11 @@ def test_warm_witnesses_and_a_table_do_not_change_the_cap():
     # does not, so it is searched and raises as a fresh filter does.
     big = Instance.of([[-3, 3], [-3, 3]])
     for level in ConsistencyLevel:
-        warm = with_table(level.value, sum_equals(0, 2), [[0, 1], [-1, 0]], cap=5)
+        warm = with_table(level.value, unshared(sum_equals(0, 2)), [[0, 1], [-1, 0]], cap=5)
         for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
             assert warm.apply(inst) == Filtered(inst)
         assert region(memo_of(warm)) == [[0, 1], [-1, 0]]
-        fresh = make_reference(level, sum_equals(0, 2), cap=5)
+        fresh = make_reference(level, unshared(sum_equals(0, 2)), cap=5)
         assert outcome_or_cap(warm.apply, big) == outcome_or_cap(fresh.apply, big), level
 
 
@@ -827,7 +842,7 @@ def test_warm_witnesses_from_another_level_do_not_change_the_cap():
     # left at one level must not spare `big` a search past the cap at another.
     big = Instance.of([[-3, 3], [-3, 3]])
     for warm_level, level in itertools.product(ConsistencyLevel, repeat=2):
-        checker = sum_equals(0, 2)
+        checker = unshared(sum_equals(0, 2))
         warm = make_reference(warm_level, checker, cap=5)
         for inst in (Instance.of([[-3], [3]]), Instance.of([[3], [-3]])):
             assert warm.apply(inst) == Filtered(inst)
@@ -836,6 +851,81 @@ def test_warm_witnesses_from_another_level_do_not_change_the_cap():
         assert outcome_or_cap(f.apply, big) == outcome_or_cap(
             lambda inst: func(checker, inst, cap=5), big
         ), (warm_level, level)
+
+
+# ---------------------------------------------------------------------------
+# The bundled factories return one shared checker per argument tuple, so the
+# filters over a bundled constraint share one memo for the life of the process.
+
+
+def test_bundled_factories_share_one_checker_per_argument_tuple():
+    assert sum_equals(0, 5) is sum_equals(0, 5)
+    assert all_different(5) is all_different(5)
+    made = [sum_equals(0, 5), sum_equals(1, 5), sum_equals(0, 4), all_different(5),
+            all_different(4), sum_equals(0, 1), all_different(1)]
+    assert len(set(map(id, made))) == len(made)
+    # Equal arguments of different types make different checkers, so a
+    # checker's name never depends on which call came first.
+    assert sum_equals(True, 3).name == "sum=True" and sum_equals(1, 3).name == "sum=1"
+    assert memo_of(make_reference(ConsistencyLevel.ARC, sum_equals(0, 5))) is memo_of(
+        make_reference(ConsistencyLevel.RANGE, sum_equals(0, 5), cap=10)
+    )
+
+
+def test_an_evicted_checker_takes_its_memo_with_it():
+    # Past the cache bound the least recently used checker is dropped, and
+    # with it the memo that `_memos` holds for it. A total no other test
+    # uses keeps this checker out of other references.
+    checker = sum_equals(1_001, 2)
+    assert make_reference(ConsistencyLevel.ARC, checker).apply(
+        Instance.of([[0, 1_000], [1, 2]])
+    ) == as_outcome([[1_000], [1]])
+    assert reference._memos[checker].count == 1
+    ref = weakref.ref(checker)
+    del checker
+    gc.collect()
+    assert ref() in reference._memos  # the factory's cache keeps it alive
+    for total in range(SHARED_CHECKERS):
+        sum_equals(2_000 + total, 2)
+    gc.collect()
+    assert ref() is None
+    assert "sum=1001" not in {c.name for c in reference._memos}
+
+
+def test_threads_that_share_a_memo_answer_as_the_level_functions():
+    # A bundled checker, and so its memo, is shared by every caller in the
+    # process. Four threads filter over one checker, whose memo starts
+    # empty, at every level while the calls grow the table; with a short
+    # switch interval a grow that another thread interleaved would answer
+    # wrongly or pack a solution twice.
+    checker = unshared(sum_equals(0, 5))
+    rng = SplitMix64(61)
+    configs = [GenConfig(value_min=-m, value_max=m) for m in (1, 2, 3, 4)]
+    instances = [generate_instance(rng, cfg) for cfg in configs for _ in range(15)]
+    expected = [[func(checker, inst) for func in LEVEL_FUNCS.values()] for inst in instances]
+    filters = [make_reference(ConsistencyLevel(level), checker) for level in LEVEL_FUNCS]
+    wrong = []
+
+    def work(k):
+        for n in range(k, k + len(instances)):
+            n %= len(instances)
+            if [f.apply(instances[n]) for f in filters] != expected[n]:
+                wrong.append(instances[n])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 7,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    memo = memo_of(filters[0])
+    assert sorted(table_solutions(memo)) == solutions(checker, Instance.of(region(memo)))
 
 
 def test_reference_filters_call_the_predicate_in_a_fixed_order():
