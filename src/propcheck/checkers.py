@@ -45,18 +45,17 @@ class Checker:
 SHARED_CHECKERS = 16
 
 
-@functools.lru_cache(maxsize=SHARED_CHECKERS, typed=True)
 def all_different(arity: int) -> Checker:
     """All variables take pairwise distinct values.
 
     One shared checker per `arity`, of which the 16 (`SHARED_CHECKERS`)
     most recently used are kept, so the reference filters over it share one
-    memo, solution table included, across commands and calls.
+    memo, solution table included, across commands and calls. A keyword
+    call gets the same checker as a positional one.
     """
-    return Checker(arity, lambda a: len(set(a)) == len(a), name="alldiff")
+    return _all_different(arity)
 
 
-@functools.lru_cache(maxsize=SHARED_CHECKERS, typed=True)
 def sum_equals(total: int, arity: int) -> Checker:
     """The values sum to `total`.
 
@@ -65,4 +64,16 @@ def sum_equals(total: int, arity: int) -> Checker:
     `1`, get different checkers, so a checker's name never depends on which
     call came first.
     """
+    return _sum_equals(total, arity)
+
+
+# The caches key the form of a call, so the public factories call them with
+# positional arguments only.
+@functools.lru_cache(maxsize=SHARED_CHECKERS, typed=True)
+def _all_different(arity: int) -> Checker:
+    return Checker(arity, lambda a: len(set(a)) == len(a), name="alldiff")
+
+
+@functools.lru_cache(maxsize=SHARED_CHECKERS, typed=True)
+def _sum_equals(total: int, arity: int) -> Checker:
     return Checker(arity, lambda a: sum(a) == total, name=f"sum={total}")

@@ -2,10 +2,13 @@
 
 Subcommands:
 
-* run    -- check/stronger campaign of a reference filter against a recipe or reference
+* run    -- check/stronger campaign of a trusted subject against a tested one
 * dive   -- stateful campaign of random dives
 * oracle -- filter one JSON instance through a reference filter
 * replay -- re-execute the failing comparison recorded in a report
+
+Either side of run and dive takes a recipe (`<recipe>[+bug:<id>]`) or a
+reference (`<level>:<checker>`), both over the trusted side's checker.
 
 stdout carries exactly one JSON document; diagnostics go to stderr. Exit
 codes: 0 pass, 1 counterexample found, 2 usage error, 3 enumeration cap
@@ -68,14 +71,15 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # Spec string parsing
 #
-# A subject spec names a level or a recipe, and the checker it filters by as
-# a pair (kind, total): `boundz:sum=0` filters by ("sum", 0), and a recipe by
-# its kind with no total, which a sum recipe takes from the trusted side. A
-# command gets one `Checker` from the trusted pair for both sides, and the
-# bundled factories give every command over one pair that same checker.
+# A subject spec, on either side, names a level or a recipe, and the checker
+# it filters by as a pair (kind, total): `boundz:sum=0` filters by ("sum", 0),
+# and a recipe by its kind with no total, which a sum recipe takes from the
+# trusted side. A command gets one `Checker` from the trusted pair for both
+# sides, and the bundled factories give every command over one pair that
+# same checker.
 
 _CheckerSpec = tuple[str, Optional[int]]  # ("alldiff", None) or ("sum", total)
-_Factory = Callable[[], FilterWithState]
+_Side = tuple[Filter, Callable[[], FilterWithState]]  # static filter, stateful factory
 
 
 def _build_checker(checker: _CheckerSpec, arity: int) -> checkers.Checker:
@@ -85,37 +89,36 @@ def _build_checker(checker: _CheckerSpec, arity: int) -> checkers.Checker:
     return checkers.sum_equals(total, arity)
 
 
-def _parse_reference(spec: str) -> tuple[_CheckerSpec, reference.ConsistencyLevel]:
-    base, bug_sep, _ = spec.partition("+bug:")
-    level_name, sep, checker_spec = base.partition(":")
-    if not sep:
-        raise UsageError(
-            f"reference spec {spec!r} must look like <level>:<checker>, e.g. boundz:sum=15"
-        )
-    if bug_sep:
-        raise UsageError(
-            f"+bug: applies only to a recipe, not to reference {spec!r}; "
-            f"valid recipes: {', '.join(minisolver.RECIPES)}"
-        )
-    if level_name not in _LEVELS:
+def _parse_level(name: str) -> reference.ConsistencyLevel:
+    if name not in _LEVELS:
         valid = ", ".join(sorted(_LEVELS))
-        raise UsageError(f"unknown consistency level {level_name!r}; valid levels: {valid}")
-    level = _LEVELS[level_name]
-    if checker_spec == "alldiff":
-        return ("alldiff", None), level
-    if not checker_spec.startswith("sum="):
-        raise UsageError(f"unknown checker {checker_spec!r}; valid checkers: alldiff, sum=<c>")
+        raise UsageError(f"unknown consistency level {name!r}; valid levels: {valid}")
+    return _LEVELS[name]
+
+
+def _parse_checker(spec: str) -> _CheckerSpec:
+    if spec == "alldiff":
+        return ("alldiff", None)
+    if not spec.startswith("sum="):
+        raise UsageError(f"unknown checker {spec!r}; valid checkers: alldiff, sum=<c>")
     try:
-        return ("sum", int(checker_spec[4:])), level
+        return ("sum", int(spec[4:]))
     except ValueError:
-        raise UsageError(f"invalid sum target in checker {checker_spec!r}")
+        raise UsageError(f"invalid sum target in checker {spec!r}")
 
 
 def _parse_spec(spec: str) -> tuple[_CheckerSpec, Any]:
     """The checker `spec` filters by, and its level or recipe."""
     base, bug_sep, bug_part = spec.partition("+bug:")
-    if ":" in base:
-        return _parse_reference(spec)
+    level_name, sep, checker_spec = base.partition(":")
+    if sep:
+        if bug_sep:
+            raise UsageError(
+                f"+bug: applies only to a recipe, not to reference {spec!r}; "
+                f"valid recipes: {', '.join(minisolver.RECIPES)}"
+            )
+        level = _parse_level(level_name)
+        return _parse_checker(checker_spec), level
     kind = minisolver.RECIPES.get(base)
     if kind is None:
         raise UsageError(
@@ -135,61 +138,56 @@ def _parse_spec(spec: str) -> tuple[_CheckerSpec, Any]:
     return (kind.checker, None), recipe
 
 
-def _tested(checker: _CheckerSpec, tested: tuple, trusted_spec: str, tested_spec: str) -> Any:
-    """The level or recipe of the parsed `tested` spec, which must filter by
-    the trusted side's `checker`: a reference names that checker, and a
-    recipe names its kind and takes a sum's total from it (a trusted sum
-    recipe has none to give)."""
-    (kind, total), subject = tested
-    if isinstance(subject, minisolver.Recipe):
+def _subjects(trusted_spec: str, tested_spec: str) -> tuple[_CheckerSpec, Any, Any]:
+    """The checker of `trusted_spec`, and each spec's level or recipe. The
+    tested spec must filter by that checker: a reference names it, and a
+    recipe names its kind and takes a sum's total from it."""
+    checker, trusted = _parse_spec(trusted_spec)
+    if checker == ("sum", None):
+        raise UsageError(f"trusted {trusted_spec!r} has no sum total; name one as <level>:sum=<c>")
+    (kind, total), tested = _parse_spec(tested_spec)
+    if isinstance(tested, minisolver.Recipe):
         total = checker[1]
-        subject = subject._replace(total=total)
-    if (kind, total) != checker or kind == "sum" and total is None:
+        tested = tested._replace(total=total)
+    if (kind, total) != checker:
         raise UsageError(
             f"tested {tested_spec!r} filters by another checker than trusted {trusted_spec!r}"
         )
-    return subject
+    return checker, trusted, tested
 
 
-def _tested_side(subject: Any, checker: checkers.Checker, arity: int) -> tuple[Filter, _Factory]:
-    """The tested side's static filter and stateful factory."""
+def _side(subject: Any, checker: checkers.Checker) -> _Side:
+    """A recipe's solver, or a level's reference filter over `checker`."""
     if isinstance(subject, minisolver.Recipe):
-        factory = lambda: minisolver.as_filter_with_state(subject, arity)
-        return minisolver.as_filter(subject, arity), factory
+        factory = functools.partial(minisolver.as_filter_with_state, subject, checker.arity)
+        return minisolver.as_filter(subject, checker.arity), factory
     base = reference.make_reference(subject, checker)
-    return base, lambda: IncrementalFiltering(base)
+    return base, functools.partial(IncrementalFiltering, base)
 
 
-def _sides(trusted_spec: str, tested_spec: str, arity: int) -> tuple[Filter, Filter, _Factory]:
-    """A command's trusted reference filter, and its tested side's static
-    filter and stateful factory, all over one checker."""
-    checker, level = _parse_reference(trusted_spec)
-    subject = _tested(checker, _parse_spec(tested_spec), trusted_spec, tested_spec)
+def _sides(trusted_spec: str, tested_spec: str, arity: int) -> tuple[_Side, _Side]:
+    """Each side's static filter and stateful factory, both over one checker."""
+    checker, trusted, tested = _subjects(trusted_spec, tested_spec)
     built = _build_checker(checker, arity)
-    return (reference.make_reference(level, built), *_tested_side(subject, built, arity))
+    return _side(trusted, built), _side(tested, built)
 
 
 def parse_reference_spec(spec: str, arity: int) -> Filter:
-    checker, level = _parse_reference(spec)
-    return reference.make_reference(level, _build_checker(checker, arity))
+    """The static filter of the trusted `spec`, a level or a recipe."""
+    return _sides(spec, spec, arity)[0][0]
 
 
 def parse_recipe(spec: str, trusted_spec: str) -> minisolver.Recipe:
-    """The recipe `spec` names; only a sum recipe reads `trusted_spec`, for its total."""
-    parsed = _parse_spec(spec)
-    (kind, _), recipe = parsed
+    """The recipe `spec` names, over `trusted_spec`'s checker or, if that is empty, its own."""
+    recipe = _subjects(trusted_spec or spec, spec)[2]
     if not isinstance(recipe, minisolver.Recipe):
         raise UsageError(f"{spec!r} names a reference, not a recipe")
-    if kind == "sum":
-        recipe = _tested(_parse_spec(trusted_spec)[0], parsed, trusted_spec, spec)
     return recipe
 
 
 def parse_tested_filter(spec: str, trusted_spec: str, arity: int) -> Filter:
-    """The tested side's static filter; `trusted_spec` may also name a recipe."""
-    checker = _parse_spec(trusted_spec)[0]
-    subject = _tested(checker, _parse_spec(spec), trusted_spec, spec)
-    return _tested_side(subject, _build_checker(checker, arity), arity)[0]
+    """The tested side's static filter."""
+    return _sides(trusted_spec, spec, arity)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,7 @@ def _print_report(report: TestReport, mode: str, args: argparse.Namespace, **ext
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _gen_config(args)
-    trusted, tested, _ = _sides(args.trusted, args.tested, args.vars)
+    (trusted, _), (tested, _) = _sides(args.trusted, args.tested, args.vars)
     runner = check if args.mode == "check" else stronger
     return _print_report(runner(trusted, tested, cfg), args.mode, args, tests=args.tests)
 
@@ -338,8 +336,8 @@ def cmd_dive(args: argparse.Namespace) -> int:
         dive_cfg = DiveConfig(nb_dives=args.dives, max_depth=args.max_depth)
     except ValueError as exc:
         raise UsageError(str(exc))
-    trusted, _, tested_factory = _sides(args.trusted, args.tested, args.vars)
-    report = dive_campaign(lambda: IncrementalFiltering(trusted), tested_factory, cfg, dive_cfg)
+    (_, trusted), (_, tested) = _sides(args.trusted, args.tested, args.vars)
+    report = dive_campaign(trusted, tested, cfg, dive_cfg)
     return _print_report(report, "dives", args, dives=args.dives, maxDepth=args.max_depth)
 
 
@@ -351,9 +349,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     inst = instance_from_doc(doc)
     # A level function: a make_reference filter would build a table over the
     # instance for the one call, and a table pays back only over many calls.
-    checker, level = _parse_reference(f"{args.level}:{args.checker}")
-    apply = _LEVEL_FUNCTIONS[level]
-    print(json.dumps(outcome_to_doc(apply(_build_checker(checker, inst.arity), inst))))
+    apply = _LEVEL_FUNCTIONS[_parse_level(args.level)]
+    checker = _build_checker(_parse_checker(args.checker), inst.arity)
+    print(json.dumps(outcome_to_doc(apply(checker, inst))))
     return EXIT_PASS
 
 
@@ -398,10 +396,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         outcome_from_doc(ce.get("trusted")),
         outcome_from_doc(ce.get("tested")),
     )
-    trusted, tested, tested_factory = _sides(trusted_spec, tested_spec, arity)
+    (trusted, trusted_factory), (tested, tested_factory) = _sides(trusted_spec, tested_spec, arity)
     if mode == "dives":
         ops = [branch_op_from_doc(op) for op in _field(ce, "transcript", list)]
-        failure = replay(shrunk, ops, IncrementalFiltering(trusted), tested_factory())
+        failure = replay(shrunk, ops, trusted_factory(), tested_factory())
         if failure is not None and len(failure.transcript) < len(ops):
             return _not_reproduced(
                 f"the outcomes already differ after {len(failure.transcript)} "
@@ -451,13 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a check or stronger campaign")
     p_run.add_argument("--mode", choices=("check", "stronger"), required=True)
-    p_run.add_argument("--trusted", required=True, help="<level>:<checker>")
+    p_run.add_argument("--trusted", required=True, help="recipe or <level>:<checker>")
     p_run.add_argument("--tested", required=True, help="recipe or <level>:<checker>")
     p_run.add_argument("--tests", type=int, default=100)
     add_gen_flags(p_run)
 
     p_dive = sub.add_parser("dive", help="run a stateful dives campaign")
-    p_dive.add_argument("--trusted", required=True, help="<level>:<checker>")
+    p_dive.add_argument("--trusted", required=True, help="recipe or <level>:<checker>")
     p_dive.add_argument("--tested", required=True, help="recipe or <level>:<checker>")
     p_dive.add_argument("--dives", type=int, default=20)
     p_dive.add_argument("--max-depth", type=int, default=64)

@@ -341,6 +341,21 @@ class TestOracle:
         )
         assert code == EXIT_USAGE and out == ""
 
+    @pytest.mark.parametrize(
+        "level,checker",
+        [("alldiff-fc+bug", "SKIP_LAST"), ("alldiff-fc+bug", "ALLDIFF_FC_SKIP_LAST"),
+         ("arc", "alldiff+bug:X")],
+    )
+    def test_level_and_checker_are_parsed_apart(self, capsys, monkeypatch, level, checker):
+        # Joined as `<level>:<checker>`, the second pair would name a recipe,
+        # which has no level function.
+        code, out, err = self.run_oracle(
+            capsys, monkeypatch, json.dumps({"domains": [[1]]}),
+            "--level", level, "--checker", checker,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("level", ["arc", "boundz", "boundd", "range"])
     def test_cap_exceeded_exit_code(self, capsys, monkeypatch, level):
         # Each support search spans 1001**2 tuples, past the default cap of
@@ -522,7 +537,42 @@ class TestReplay:
         assert (code, out, err) == (EXIT_COUNTEREXAMPLE, "", "")
 
 
+class TestTrustedRecipe:
+    """Either side takes a recipe; a sum recipe has no total to give."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--mode", "check", "--tested", "alldiff-fc+bug:ALLDIFF_FC_SKIP_LAST"),
+            ("dive", "--tested", "alldiff-fc+bug:TRAIL_NO_RESTORE"),
+        ],
+        ids=["run", "dive"],
+    )
+    def test_a_bug_is_caught_and_replayed(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, *argv, "--trusted", "alldiff-fc", "--seed", "1")
+        assert code == EXIT_COUNTEREXAMPLE
+        assert json.loads(out)["trusted"] == "alldiff-fc"
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        assert run_cli(capsys, "replay", "--report", str(path)) == (EXIT_COUNTEREXAMPLE, "", "")
+
+    @pytest.mark.parametrize("tested", ["sum-bc", "boundz:sum=0"])
+    @pytest.mark.parametrize("command", [("run", "--mode", "check"), ("dive",)], ids=["run", "dive"])
+    def test_a_trusted_sum_recipe_is_a_usage_error(self, capsys, command, tested):
+        code, out, err = run_cli(capsys, *command, "--trusted", "sum-bc", "--tested", tested)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_helpers_reject_a_sum_recipe_without_a_total(self):
+        with pytest.raises(cli.UsageError):
+            cli.parse_reference_spec("sum-bc", 5)
+        with pytest.raises(cli.UsageError):
+            cli.parse_tested_filter("sum-bc", "sum-bc", 5)
+
+
 class TestRecipeRegistry:
+    TRUSTED = {"alldiff": "arc:alldiff", "sum": "boundz:sum=0"}  # a spec over each checker
+
     @pytest.mark.parametrize(
         "name,bug",
         [
@@ -534,19 +584,32 @@ class TestRecipeRegistry:
     )
     def test_bug_compatibility_follows_the_registry(self, capsys, name, bug):
         spec = f"{name}+bug:{bug.value}"
+        trusted = self.TRUSTED[RECIPES[name].checker]
         if bug in RECIPES[name].bugs:
-            recipe = parse_recipe(spec, "boundz:sum=0")
+            recipe = parse_recipe(spec, trusted)
             assert (recipe.kind, recipe.bug) == (name, bug)
             return
         code, out, err = run_cli(
             capsys,
-            "run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", spec,
-            "--vars", "3",
+            "run", "--mode", "check", "--trusted", trusted, "--tested", spec, "--vars", "3",
         )
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ")
         assert all(accepted.value in err for accepted in RECIPES[name].bugs)
+
+    @pytest.mark.parametrize("name", RECIPES)
+    def test_a_recipe_over_another_checker_is_a_usage_error(self, name):
+        other = next(t for kind, t in self.TRUSTED.items() if kind != RECIPES[name].checker)
+        bug = RECIPES[name].bugs[0].value
+        for spec in (name, f"{name}+bug:{bug}"):
+            with pytest.raises(cli.UsageError, match="another checker"):
+                parse_recipe(spec, other)
+
+    def test_an_empty_trusted_spec_means_the_recipe_s_own_checker(self):
+        assert parse_recipe("alldiff-fc", "") == parse_recipe("alldiff-fc", "arc:alldiff")
+        with pytest.raises(cli.UsageError, match="no sum total"):
+            parse_recipe("sum-bc", "")
 
     def test_readme_table_matches_the_registry(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -749,8 +812,8 @@ class TestSpecGrid:
         ("run", "--mode", "stronger", "--tests", "5"),
         ("dive", "--dives", "3"),
     )
-    # 858 commands: 798 exit 2, 42 exit 0 and 18 exit 1, each of whose reports replays.
-    DIGEST = "76f7a9b89f12600e15ec55baa54122545ca2f1fedfbe05571859d4d53e01687e"
+    # 858 commands: 789 exit 2, 51 exit 0 and 18 exit 1, each of whose reports replays.
+    DIGEST = "05b7d2e552839d09bdba3440ff7bd73a658732a1e10e93e191ab392c38f870d6"
 
     def test_outputs_and_replays_are_pinned(self, capsys, tmp_path):
         digest, report = hashlib.sha256(), tmp_path / "report.json"

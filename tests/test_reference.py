@@ -861,6 +861,9 @@ def test_warm_witnesses_from_another_level_do_not_change_the_cap():
 def test_bundled_factories_share_one_checker_per_argument_tuple():
     assert sum_equals(0, 5) is sum_equals(0, 5)
     assert all_different(5) is all_different(5)
+    # A keyword call is the same argument tuple.
+    assert sum_equals(total=0, arity=5) is sum_equals(0, arity=5) is sum_equals(0, 5)
+    assert all_different(arity=5) is all_different(5)
     made = [sum_equals(0, 5), sum_equals(1, 5), sum_equals(0, 4), all_different(5),
             all_different(4), sum_equals(0, 1), all_different(1)]
     assert len(set(map(id, made))) == len(made)
