@@ -41,11 +41,11 @@ from .stateful import (
     BranchOp,
     DiveConfig,
     FilterWithState,
-    IncrementalFiltering,
     Pop,
     Push,
     RestrictDomain,
     dive_campaign,
+    incremental_factory,
     replay,
 )
 
@@ -157,12 +157,15 @@ def _subjects(trusted_spec: str, tested_spec: str) -> tuple[_CheckerSpec, Any, A
 
 
 def _side(subject: Any, checker: checkers.Checker) -> _Side:
-    """A recipe's solver, or a level's reference filter over `checker`."""
+    """A recipe's solver, or a level's reference filter over `checker`.
+    A recipe's factory gives a fresh solver every call; a reference's gives
+    snapshot subjects that share one bounded memo of the filter's outcomes
+    for the life of the command (`stateful.incremental_factory`)."""
     if isinstance(subject, minisolver.Recipe):
         factory = functools.partial(minisolver.as_filter_with_state, subject, checker.arity)
         return minisolver.as_filter(subject, checker.arity), factory
     base = reference.make_reference(subject, checker)
-    return base, functools.partial(IncrementalFiltering, base)
+    return base, incremental_factory(base)
 
 
 def _sides(trusted_spec: str, tested_spec: str, arity: int) -> tuple[_Side, _Side]:

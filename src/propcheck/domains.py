@@ -214,6 +214,8 @@ def _check_arity(a: FilterOutcome, b: FilterOutcome) -> None:
 
 
 def pointwise_equal(a: FilterOutcome, b: FilterOutcome) -> bool:
+    if a is b:
+        return True
     _check_arity(a, b)
     if a is INCONSISTENT or b is INCONSISTENT:
         return a is b

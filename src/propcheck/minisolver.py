@@ -370,7 +370,8 @@ class SolverBackedStateful(SnapshotStack):
     """FilterWithState over a fresh solver, with the snapshot adapter's frame
     rules and restriction rule (`stateful.restricted`). The propagator runs
     to its fixpoint after a restriction that removes a value, and after a
-    pop puts back the very domains saved at the push (the pop re-check)."""
+    pop puts back the very domains saved at the push (the pop re-check);
+    a re-check that removes nothing gives back the saved outcome itself."""
 
     def __init__(self, recipe: Recipe, arity: int) -> None:
         super().__init__()
@@ -393,14 +394,17 @@ class SolverBackedStateful(SnapshotStack):
         return _outcome(solver)
 
     def _restored(self, saved: Filtered) -> FilterOutcome:
-        self._solver.doms = list(saved.instance)
+        solver = self._solver
+        solver.doms = list(saved.instance)
         # Re-reaching the fixpoint is a no-op for well-behaved
         # propagators; stale internal state surfaces here.
         try:
-            self._solver.fixpoint()
+            solver.fixpoint()
         except Inconsistency:
             return INCONSISTENT
-        return _outcome(self._solver)
+        if all(map(is_, solver.doms, saved.instance)):
+            return saved  # the re-check removed nothing
+        return _outcome(solver)
 
 
 def as_filter_with_state(recipe: Recipe, arity: int) -> SolverBackedStateful:

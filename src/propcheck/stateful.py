@@ -10,6 +10,7 @@ operation, so state divergence surfaces at the earliest observable point.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Callable, Generator, NamedTuple, Optional, Sequence, Union
 
 from .domains import (
@@ -171,7 +172,11 @@ class SnapshotStack(FilterWithState):
 
 
 class IncrementalFiltering(SnapshotStack):
-    """Turns any static Filter into a stateful one via a snapshot stack."""
+    """Turns any static Filter into a stateful one via a snapshot stack.
+
+    It calls `base.apply` on the root and after each restriction that
+    leaves every domain non-empty; the subjects that
+    `incremental_factory` makes share a memo of those calls."""
 
     def __init__(self, base: Filter) -> None:
         super().__init__()
@@ -183,6 +188,30 @@ class IncrementalFiltering(SnapshotStack):
     def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
         restricted = apply_restriction(current.instance, op)
         return restricted if restricted is INCONSISTENT else self._base.apply(restricted.instance)
+
+
+# How many outcomes the subjects of one `incremental_factory` share.
+SHARED_OUTCOMES = 1024
+
+
+def incremental_factory(base: Filter) -> Callable[[], IncrementalFiltering]:
+    """A factory of fresh `IncrementalFiltering` subjects over `base` that
+    share one memo of its outcomes, keyed by instance, which keeps the
+    `SHARED_OUTCOMES` most recently used. A `Filter` is deterministic, so
+    the memo changes no outcome, only how often `base` runs: a dive
+    campaign and its shrinker filter each distinct instance once while it
+    is kept. A call that raises is not kept, so an exceeded cap raises
+    again. The memo is built on the first call, so a factory that is never
+    called costs nothing."""
+    shared: Optional[Filter] = None
+
+    def make() -> IncrementalFiltering:
+        nonlocal shared
+        if shared is None:
+            shared = base._replace(apply=functools.lru_cache(SHARED_OUTCOMES)(base.apply))
+        return IncrementalFiltering(shared)
+
+    return make
 
 
 class _DiveConfig(NamedTuple):

@@ -1,9 +1,11 @@
 """Command-line front end: exit codes, JSON documents, reproducibility."""
 
+import collections
 import hashlib
 import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +33,7 @@ from propcheck.cli import (
     outcome_to_doc,
     parse_recipe,
 )
-from propcheck import checkers, cli, reference
+from propcheck import checkers, cli, minisolver, reference, stateful
 from propcheck.domains import INCONSISTENT, Filtered
 from propcheck.minisolver import RECIPES, BugId
 
@@ -767,6 +769,101 @@ class TestSharedChecker:
         assert code == EXIT_PASS and memo.count > 0
         assert run_cli(capsys, *argv, "--seed", "4")[:2] == (code, out)
         assert (memo.count, [sorted(b) for b in memo.bits]) == grown
+
+
+class TestSharedOutcomes:
+    """Within one command, a reference side's subjects share one bounded memo
+    of the filter's outcomes; a recipe side gets a fresh solver each time."""
+
+    DIVE = (
+        "dive", "--trusted", "arc:alldiff", "--tested", "alldiff-ac+bug:TRAIL_NO_RESTORE",
+        "--seed", "3",
+    )
+    # The stdout of DIVE, the same as without the memo, with which its dives
+    # and their shrinking filtered these 54 distinct instances 203 times.
+    STDOUT = "c8ca0e101aedfaa7f2b27b8d9bef39b2df3059a02fc8f00271a0e8fc8cf90972"
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        """How often each instance is filtered by the reference filters made
+        from here on."""
+        calls = collections.Counter()
+        make_reference = reference.make_reference
+
+        def counted(level, checker, *args, **kwargs):
+            f = make_reference(level, checker, *args, **kwargs)
+
+            def apply(inst):
+                calls[inst] += 1
+                return f.apply(inst)
+
+            return f._replace(apply=apply)
+
+        monkeypatch.setattr(reference, "make_reference", counted)
+        return calls
+
+    def test_a_dive_command_filters_each_instance_once(self, capsys, applied):
+        code, out, _ = run_cli(capsys, *self.DIVE)
+        assert code == EXIT_COUNTEREXAMPLE
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT
+        assert len(applied) == 54 and set(applied.values()) == {1}
+
+    def test_two_commands_share_no_memo(self, capsys, applied):
+        runs = []
+        for _ in range(2):
+            applied.clear()
+            runs.append((run_cli(capsys, *self.DIVE), dict(applied)))
+        assert runs[0] == runs[1]
+        assert len(runs[1][1]) == 54 and set(runs[1][1].values()) == {1}
+
+    def test_a_recipe_side_gets_a_fresh_solver_every_evaluation(self, capsys, monkeypatch):
+        trusted, solvers = [], [0]
+        dives, solver_for = stateful.dives, minisolver._solver_for
+
+        def recorded(root, trusted_subject, *args):
+            trusted.append((root, trusted_subject))
+            return dives(root, trusted_subject, *args)
+
+        def counted(*args):
+            solvers[0] += 1
+            return solver_for(*args)
+
+        monkeypatch.setattr(stateful, "dives", recorded)
+        monkeypatch.setattr(minisolver, "_solver_for", counted)
+        code, _, _ = run_cli(
+            capsys,
+            "dive", "--trusted", "alldiff-fc", "--tested", "alldiff-fc+bug:TRAIL_NO_RESTORE",
+            "--seed", "1",
+        )
+        roots = collections.Counter(root for root, _ in trusted)
+        assert code == EXIT_COUNTEREXAMPLE and max(roots.values()) > 1
+        assert len({id(subject) for _, subject in trusted}) == len(trusted)
+        assert solvers[0] == 2 * len(trusted)  # one setup on each side per evaluation
+
+    @pytest.mark.parametrize(
+        "argv,memos",
+        [
+            (("run", "--mode", "check", "--trusted", "arc:alldiff", "--tested", "arc:alldiff"), 0),
+            (("dive", "--trusted", "arc:alldiff", "--tested", "alldiff-ac"), 1),
+            (("dive", "--trusted", "arc:alldiff", "--tested", "arc:alldiff"), 2),
+            (("dive", "--trusted", "alldiff-fc", "--tested", "alldiff-fc"), 0),
+        ],
+        ids=["run", "dive", "dive-two-references", "dive-two-recipes"],
+    )
+    def test_a_memo_is_built_for_each_reference_side_that_dives(
+        self, capsys, monkeypatch, argv, memos
+    ):
+        built = []
+        lru_cache = stateful.functools.lru_cache
+
+        def counted(maxsize):
+            built.append(maxsize)
+            return lru_cache(maxsize)
+
+        monkeypatch.setattr(stateful, "functools", SimpleNamespace(lru_cache=counted))
+        code, _, _ = run_cli(capsys, *argv, "--vars", "3", "--seed", "2")
+        assert code == EXIT_PASS
+        assert built == [stateful.SHARED_OUTCOMES] * memos
 
 
 class TestDocuments:

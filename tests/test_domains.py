@@ -149,6 +149,11 @@ class TestPointwiseEqual:
         with pytest.raises(ContractViolationError):
             pointwise_equal(filtered([1]), filtered([1], [2]))
 
+    def test_an_outcome_equals_itself_without_being_read(self):
+        out = filtered([1])
+        out.instance = None  # any read of the instance would raise
+        assert pointwise_equal(out, out)
+
 
 class TestPointwiseSubset:
     def test_inconsistent_is_bottom(self):

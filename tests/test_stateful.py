@@ -29,6 +29,8 @@ from propcheck import (
     replay,
     sum_equals,
 )
+from propcheck import stateful
+from propcheck.stateful import incremental_factory
 
 
 def arc_alldiff(arity):
@@ -128,6 +130,13 @@ class TestIncrementalFiltering:
                 assert f.branch_and_filter(op) is INCONSISTENT, op
             assert f.branch_and_filter(POP) == Filtered(Instance.of([[1, 2], [1, 2]]))
 
+    def test_a_pop_that_changes_nothing_returns_the_saved_outcome(self):
+        for f in subjects(3):
+            saved = f.setup(Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]]))
+            f.branch_and_filter(PUSH)
+            f.branch_and_filter(RestrictDomain(0, "=", 1))
+            assert f.branch_and_filter(POP) is saved, type(f).__name__
+
     def test_pop_without_push_is_contract_error(self):
         for f in subjects(1):
             f.setup(Instance.of([[1]]))
@@ -144,6 +153,63 @@ class TestIncrementalFiltering:
         for f in subjects(1):
             with pytest.raises(ContractViolationError, match="^branch_and_filter before setup$"):
                 f.branch_and_filter(PUSH)
+
+
+def counted_filter(arity, calls, apply=Filtered):
+    """A filter that appends each instance it is applied to to `calls`."""
+
+    def counted(inst):
+        calls.append(inst)
+        return apply(inst)
+
+    return Filter(arity, counted, name="counted")
+
+
+class TestIncrementalFactory:
+    """The subjects of one factory share a bounded memo of its filter's outcomes."""
+
+    ROOT = Instance.of([[1, 2], [1, 2]])
+
+    def test_subjects_of_one_factory_filter_an_instance_once(self):
+        calls = []
+        make = incremental_factory(counted_filter(2, calls))
+        first = make()
+        outcome = first.setup(self.ROOT)
+        second = make()
+        assert second is not first and second.setup(self.ROOT) is outcome
+        first.branch_and_filter(PUSH)
+        second.branch_and_filter(PUSH)
+        op = RestrictDomain(0, "=", 1)
+        assert first.branch_and_filter(op) is second.branch_and_filter(op)
+        assert calls == [self.ROOT, Instance.of([[1], [1, 2]])]
+
+    def test_two_factories_share_no_memo(self):
+        calls = []
+        base = counted_filter(2, calls)
+        for _ in range(2):
+            incremental_factory(base)().setup(self.ROOT)
+        assert calls == [self.ROOT, self.ROOT]
+
+    def test_a_raising_filter_is_asked_again(self):
+        calls = []
+
+        def over_the_cap(inst):
+            raise EnumerationCapExceeded("over the cap")
+
+        make = incremental_factory(counted_filter(2, calls, over_the_cap))
+        for _ in range(2):
+            with pytest.raises(EnumerationCapExceeded):
+                make().setup(self.ROOT)
+        assert calls == [self.ROOT, self.ROOT]
+
+    def test_the_memo_keeps_the_most_recently_used_outcomes(self, monkeypatch):
+        monkeypatch.setattr(stateful, "SHARED_OUTCOMES", 2)
+        calls = []
+        make = incremental_factory(counted_filter(1, calls))
+        roots = [Instance.of([[v]]) for v in (1, 2, 3, 1)]
+        for root in roots:
+            make().setup(root)
+        assert calls == roots  # [1] was dropped for [3], so it is asked again
 
 
 class IdentityStateful(IncrementalFiltering):
