@@ -9,8 +9,9 @@ about.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, islice
-from typing import Callable, Iterator, NamedTuple
+from functools import lru_cache
+from itertools import compress
+from typing import Callable, NamedTuple
 
 from .domains import INT32_MAX, INT32_MIN, Domain, Instance, _Validated
 
@@ -28,9 +29,8 @@ _MAX_DRAWS = 1_000_000
 class SplitMix64:
     """Bit-exact splitmix64; state is a 64-bit unsigned integer.
 
-    `generate_instance` computes the same steps in passes (`_pass`), from
-    a copy of `state`, with these module constants, and writes the state
-    back.
+    `generate_instance` computes the same steps ahead in passes (`_pass`),
+    with these module constants, and writes the state back.
     """
 
     __slots__ = ("state",)
@@ -102,37 +102,65 @@ def generate_instance(rng: SplitMix64, cfg: GenConfig) -> Instance:
     value (`next_below`), so domains are never empty. A value enters when
     `next_float() < density`, tested on the raw draw: for `x = u >> 11`,
     `x * 2**-53 < density` holds exactly when `x < ceil(density * 2**53)`,
-    that is when `u < ceil(density * 2**53) << 11`. The draws of an
-    instance are consecutive in the stream, so `_passes` computes them
-    ahead from a copy of the state. A fallback takes the next draw whole
-    through `rng`, at the state after the draws taken so far, and its
-    flag is skipped, so the draws after it go on from the state it left;
+    that is when `u < ceil(density * 2**53) << 11`.
+
+    Splitmix64 is counter-based, so `_flags` computes the flags ahead. An
+    instance at a new stream position computes exactly its own draws; one
+    that starts at the state and threshold where the last one ended reads
+    on in the flags it left (`_ahead`) and computes at least `_LANES` more.
+    A fallback takes the next draw through `rng` and its flag is skipped;
     `rng.state` ends after the last draw taken, as with `rng.next_u64()`.
-    The values come out ascending, distinct and inside the int32 range
-    that `GenConfig` enforces, so each domain skips `Domain`'s checks.
+    Domains at most `SHARED_WIDTH` wide come from a cache of
+    `SHARED_DOMAINS`; they are immutable and every identity test on them is
+    positionwise, so sharing changes no outcome. The values come out
+    ascending, distinct and inside the int32 range that `GenConfig`
+    enforces, so each domain skips `Domain`'s checks.
     """
-    candidates = range(cfg.value_min, cfg.value_max + 1)
-    width = len(candidates)
-    below = (math.ceil(cfg.density * 2**53) << 11) - 1 | 1 << 64
-    state, drawn = rng.state, 0
-    flags = chain.from_iterable(_passes(state, cfg.n_vars * width, below))
+    global _ahead
+    n_vars, low, high, density = cfg.n_vars, cfg.value_min, cfg.value_max, cfg.density
+    width = high - low + 1
+    below = (math.ceil(density * 2**53) << 11) - 1 | 1 << 64
+    domain = _shared_domain if width <= SHARED_WIDTH else _domain
+    state = rng.state
+    (key, buf), ahead = _ahead, _LANES
+    if key != (state, below):
+        buf, ahead = b"", 0
+    at = 0  # draws taken after `state`; `buf` holds the flags of the draws after it
     doms = []
-    for _ in range(cfg.n_vars):
-        # Through a list, so that the tuple is allocated at its final size:
-        # one resized from a guess moves tuples between CPython's per-size
-        # free lists, which raised the peak RSS of 90 CLI campaigns by
-        # 0.75 MiB (CPython 3.11).
-        d = Domain._from_sorted(list(compress(candidates, islice(flags, width))))
-        drawn += width
+    for rest in range(n_vars * width, 0, -width):  # the draws left without a fallback
+        if len(buf) < at + width:
+            state, buf, at = (state + at * _GAMMA) & _MASK64, buf[at:], 0
+            buf += _flags(state + len(buf) * _GAMMA, max(rest - len(buf), ahead), below)
+        d = domain(low, buf[at : at + width])
+        at += width
         if not d:
-            rng.state = (state + drawn * _GAMMA) & _MASK64
-            d = Domain._from_sorted((candidates[rng.next_below(width)],))
-            next(flags)
-            drawn += 1
+            rng.state = (state + at * _GAMMA) & _MASK64
+            d = Domain._from_sorted((low + rng.next_below(width),))
+            at += 1
         doms.append(d)
-    rng.state = (state + drawn * _GAMMA) & _MASK64
+    rng.state = state = (state + at * _GAMMA) & _MASK64
+    _ahead = (state, below), buf[at:]
     return Instance(doms)
 
+
+def _domain(low: int, flags: bytes) -> Domain:
+    """The candidates from `low` on whose flag is set."""
+    # Through a list, so that the tuple is allocated at its final size:
+    # one resized from a guess moves tuples between CPython's per-size
+    # free lists, which raised the peak RSS of 90 CLI campaigns by
+    # 0.75 MiB (CPython 3.11).
+    return Domain._from_sorted(list(compress(range(low, low + len(flags)), flags)))
+
+
+# Every flag pattern of a value range up to SHARED_WIDTH wide fits in the
+# cache: 128 at the default width of 7. Past it, misses cost more than
+# building the domain (+5-10% per instance at widths 12 and 16).
+SHARED_WIDTH = 10
+SHARED_DOMAINS = 2**SHARED_WIDTH
+_shared_domain = lru_cache(maxsize=SHARED_DOMAINS)(_domain)
+
+# (state, threshold) where the last instance ended, and the flags past it.
+_ahead = (-1, -1), b""
 
 # A pass computes at most this many draws, one per 128-bit lane of one int,
 # which bounds its memory at the `_MAX_DRAWS` limit.
@@ -146,19 +174,12 @@ _STEPS = int.from_bytes(
 )
 
 
-def _passes(state: int, count: int, below: int) -> Iterator[bytes]:
-    """The flags of the draws after `state`, one pass at a time, without end.
-
-    The passes hold the `count` draws an instance takes when no domain
-    comes out empty, at most `_LANES` each. Each fallback takes one draw
-    more, so the passes past `count` hold 1, 2, 4, ... draws: as many as
-    were taken past it, plus one.
-    """
-    done = 0
-    while True:
-        n = min(_LANES, max(count - done, done - count + 1))
-        yield _pass(state + done * _GAMMA, n, below)
-        done += n
+def _flags(state: int, n: int, below: int) -> bytes:
+    """The flags of the `n` draws after `state`, joined from passes of at
+    most `_LANES` draws."""
+    return b"".join(
+        _pass(state + k * _GAMMA, min(_LANES, n - k), below) for k in range(0, n, _LANES)
+    )
 
 
 def _pass(state: int, n: int, below: int) -> bytes:

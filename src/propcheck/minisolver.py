@@ -358,10 +358,14 @@ def _outcome(solver: Optional[Solver]) -> FilterOutcome:
 
 
 def as_filter(recipe: Recipe, arity: int) -> Filter:
-    """A static Filter running a fresh solver per application."""
+    """A static Filter running a fresh solver per application. When the
+    solver removed nothing, the outcome holds the input instance itself."""
 
     def apply(inst: Instance) -> FilterOutcome:
-        return _outcome(_solver_for(recipe, arity, inst))
+        solver = _solver_for(recipe, arity, inst)
+        if solver is not None and all(map(is_, solver.doms, inst)):
+            return Filtered(inst)
+        return _outcome(solver)
 
     return Filter(arity=arity, apply=apply, name=recipe.display_name())
 

@@ -1,5 +1,8 @@
 """RNG bit-exactness, instance generation, and shrinking."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,7 @@ from propcheck import (
     generate_instance,
     shrink,
 )
+from propcheck import generator
 from propcheck.generator import _LANES
 
 # Published reference outputs of splitmix64 from seed 0.
@@ -19,6 +23,22 @@ SPLITMIX64_SEED0 = [
     0x6E789E6AA1B965F4,
     0x06C45D188009454F,
 ]
+
+
+def by_floats(rng, cfg, fell=None):
+    """The generator as first written: one next_float() per candidate.
+    Appends to `fell` the variables that took the fallback."""
+    candidates = range(cfg.value_min, cfg.value_max + 1)
+    next_float, density = rng.next_float, cfg.density
+    doms = []
+    for i in range(cfg.n_vars):
+        values = [v for v in candidates if next_float() < density]
+        if not values:
+            if fell is not None:
+                fell.append(i)
+            values = [cfg.value_min + rng.next_below(len(candidates))]
+        doms.append(values)
+    return Instance.of(doms)
 
 
 def test_splitmix64_golden_sequence():
@@ -126,29 +146,91 @@ class TestGenerateInstance:
              "pass-ends-inside", "fallback-at-a-boundary", "draw-limit"],
     )
     def test_same_stream_as_the_float_rule(self, cfg, count):
-        # The generator as first written: one next_float() per candidate.
-        candidates = range(cfg.value_min, cfg.value_max + 1)
         fallbacks = []  # per instance, the variables that took the fallback
-
-        def by_floats(rng):
-            next_float, density = rng.next_float, cfg.density
-            doms = []
-            fallbacks.append([])
-            for i in range(cfg.n_vars):
-                values = [v for v in candidates if next_float() < density]
-                if not values:
-                    fallbacks[-1].append(i)
-                    values = [cfg.value_min + rng.next_below(len(candidates))]
-                doms.append(values)
-            return Instance.of(doms)
-
         ours, oracle = SplitMix64(2026), SplitMix64(2026)
         for _ in range(count):
-            assert generate_instance(ours, cfg) == by_floats(oracle)
+            fallbacks.append([])
+            assert generate_instance(ours, cfg) == by_floats(oracle, cfg, fallbacks[-1])
             assert ours.state == oracle.state
         if cfg.density == 0.0214:
-            at_boundary = [fell[:1] == [_LANES // len(candidates) - 1] for fell in fallbacks]
+            candidates = cfg.value_max - cfg.value_min + 1
+            at_boundary = [fell[:1] == [_LANES // candidates - 1] for fell in fallbacks]
             assert sum(at_boundary) >= 3
+
+    # The generator reads on in the flags the last instance left when the
+    # next one starts at the state and threshold where it ended, and
+    # computes afresh elsewhere; each way must give the oracle's stream.
+    @pytest.mark.parametrize(
+        "pattern", ["two-rngs", "next-u64-between", "density-switch", "state-by-hand"]
+    )
+    def test_look_ahead_keeps_the_stream(self, pattern):
+        ours, oracle = [SplitMix64(11), SplitMix64(12)], [SplitMix64(11), SplitMix64(12)]
+        starts = []
+        for k in range(600):
+            # Every third instance switches to a sparse threshold at the
+            # position where a dense one ended, and back.
+            sparse = pattern == "density-switch" and k % 3 == 0
+            cfg = GenConfig(density=0.02) if sparse else GenConfig()
+            j = k % 2 if pattern == "two-rngs" else 0
+            if pattern == "state-by-hand" and k % 4 == 1:
+                # A new rng set to where the last instance ended.
+                ours[j], oracle[j] = SplitMix64(0), SplitMix64(0)
+                ours[j].state = oracle[j].state = starts[-1][1]
+            elif pattern == "state-by-hand" and k % 4 == 3:
+                ours[j].state = oracle[j].state = starts[-3][0]  # an earlier position
+            start = ours[j].state
+            assert generate_instance(ours[j], cfg) == by_floats(oracle[j], cfg), (pattern, k)
+            assert ours[j].state == oracle[j].state, (pattern, k)
+            starts.append((start, ours[j].state))
+            if pattern == "next-u64-between":
+                assert ours[j].next_u64() == oracle[j].next_u64()
+
+    def test_threads_drawing_from_separate_rngs_get_the_sequential_results(self):
+        # More threads than cores, switching often: the look-ahead entry and
+        # the shared domains are read and replaced by every thread.
+        cfg, seeds = GenConfig(), range(31, 35)
+
+        def draw(seed, out):
+            rng = SplitMix64(seed)
+            out.extend((generate_instance(rng, cfg), rng.state) for _ in range(1_000))
+
+        sequential = [[] for _ in seeds]
+        for seed, out in zip(seeds, sequential):
+            draw(seed, out)
+        concurrent = [[] for _ in seeds]
+        threads = [threading.Thread(target=draw, args=args) for args in zip(seeds, concurrent)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert concurrent == sequential
+
+    def test_equal_flag_patterns_give_one_shared_domain(self):
+        cfg = GenConfig(density=1.0)
+        a = generate_instance(SplitMix64(1), cfg)
+        b = generate_instance(SplitMix64(2), cfg)
+        assert all(d is a[0] for d in a + b)
+        # Past the sharing width, each domain is built anew.
+        wide = generate_instance(SplitMix64(1), GenConfig(value_min=-8, value_max=8, density=1.0))
+        assert wide[0] == wide[1] and wide[0] is not wide[1]
+
+    def test_the_shared_domains_stay_bounded(self):
+        rng = SplitMix64(41)
+        width = generator.SHARED_WIDTH
+        for k in range(1_000):
+            generate_instance(rng, GenConfig(value_min=k % 4, value_max=k % 4 + width - 1))
+        held = generator._shared_domain.cache_info()
+        assert held.currsize == held.maxsize == generator.SHARED_DOMAINS
+        generate_instance(rng, GenConfig(n_vars=1, value_min=-500_000, value_max=499_999))
+        assert generator._shared_domain.cache_info() == held
+        # The look-ahead keeps less than one pass past where it ended.
+        assert len(generator._ahead[1]) < _LANES
 
     @given(st.integers(0, 2**64 - 1))
     @settings(max_examples=50)

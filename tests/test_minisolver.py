@@ -488,6 +488,19 @@ class TestAsFilter:
                     assert all(d is e for d, e in zip(inst, out.instance) if d == e), inst
 
 
+    def test_an_outcome_that_removes_nothing_is_the_input_itself(self):
+        rng = SplitMix64(62)
+        unchanged = 0
+        for recipe in (all_different_ac(), all_different_fc(), sum_equals_bc(0)):
+            f = as_filter(recipe, 5)
+            for _ in range(100):
+                inst = generate_instance(rng, GenConfig())
+                out = f.apply(inst)
+                if out is not INCONSISTENT and out.instance == inst:
+                    assert out.instance is inst, inst
+                    unchanged += 1
+        assert unchanged > 0
+
 class CountingSum(SumEqualsBC):
     """SumEqualsBC that counts the runs of all its instances."""
 
