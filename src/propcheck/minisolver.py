@@ -15,6 +15,10 @@ run that removed a value, until a run removes nothing. A restriction
 that removes a value starts that loop. After a pop,
 `SolverBackedStateful` starts it once more (the pop re-check): a correct
 propagator removes nothing there, and a BUG_TRAIL_NO_RESTORE cache shows.
+Every run, static or at setup, a restriction or a pop, gives its outcome by
+one rule (`_settled`): inconsistent when a domain empties, the starting
+outcome itself when every domain is still one of its own objects, and
+otherwise a new `Filtered`.
 `AllDifferentAC` returns at once on the very domains its last completed
 run left, where a run would remove nothing. When a pop puts back other
 domain objects, the pop re-check runs it in full, and its stale cache
@@ -339,33 +343,34 @@ def with_bug(bug: BugId, recipe: Recipe) -> Recipe:
 
 
 def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:
-    """A fresh solver over `inst` and `recipe`'s propagator, run to its
-    fixpoint; None when the root fails."""
+    """A fresh solver over `inst` and `recipe`'s propagator, not yet run;
+    None when a domain is empty."""
     if inst.arity != arity:
         raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
+    return Solver(inst, recipe.propagator()) if all(inst) else None
+
+
+def _settled(solver: Solver, before: Filtered) -> FilterOutcome:
+    """The outcome of running `solver`, which starts from `before`'s domains
+    or narrower ones, to its fixpoint: INCONSISTENT when a domain empties,
+    `before` itself when every domain is still one of its own objects, and
+    otherwise a new `Filtered`."""
     try:
-        solver = Solver(inst, recipe.propagator())
         solver.fixpoint()
     except Inconsistency:
-        return None
-    return solver
-
-
-def _outcome(solver: Optional[Solver]) -> FilterOutcome:
-    if solver is None:
         return INCONSISTENT
+    if all(map(is_, solver.doms, before.instance)):
+        return before
     return Filtered(Instance(solver.doms))
 
 
 def as_filter(recipe: Recipe, arity: int) -> Filter:
-    """A static Filter running a fresh solver per application. When the
-    solver removed nothing, the outcome holds the input instance itself."""
+    """A static Filter running a fresh solver per application, whose
+    outcome `_settled` gives."""
 
     def apply(inst: Instance) -> FilterOutcome:
         solver = _solver_for(recipe, arity, inst)
-        if solver is not None and all(map(is_, solver.doms, inst)):
-            return Filtered(inst)
-        return _outcome(solver)
+        return INCONSISTENT if solver is None else _settled(solver, Filtered(inst))
 
     return Filter(arity=arity, apply=apply, name=recipe.display_name())
 
@@ -373,9 +378,9 @@ def as_filter(recipe: Recipe, arity: int) -> Filter:
 class SolverBackedStateful(SnapshotStack):
     """FilterWithState over a fresh solver, with the snapshot adapter's frame
     rules and restriction rule (`stateful.restricted`). The propagator runs
-    to its fixpoint after a restriction that removes a value, and after a
-    pop puts back the very domains saved at the push (the pop re-check);
-    a re-check that removes nothing gives back the saved outcome itself."""
+    to its fixpoint at setup, after a restriction that removes a value, and
+    after a pop puts back the very domains saved at the push (the pop
+    re-check). Each of these gives its outcome by `_settled`."""
 
     def __init__(self, recipe: Recipe, arity: int) -> None:
         super().__init__()
@@ -384,31 +389,23 @@ class SolverBackedStateful(SnapshotStack):
         self._solver: Optional[Solver] = None
 
     def _root(self, root: Instance) -> FilterOutcome:
-        self._solver = _solver_for(self._recipe, self._arity, root)
-        return _outcome(self._solver)
+        self._solver = solver = _solver_for(self._recipe, self._arity, root)
+        return INCONSISTENT if solver is None else _settled(solver, Filtered(root))
 
     def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
         solver = self._solver
-        try:
-            if not solver.keep(op.index, restricted(solver.doms, op)):
-                return current
-            solver.fixpoint()
-        except Inconsistency:
+        kept = restricted(solver.doms, op)
+        if not kept:
             return INCONSISTENT
-        return _outcome(solver)
+        if not solver.keep(op.index, kept):
+            return current
+        return _settled(solver, current)
 
     def _restored(self, saved: Filtered) -> FilterOutcome:
-        solver = self._solver
-        solver.doms = list(saved.instance)
         # Re-reaching the fixpoint is a no-op for well-behaved
         # propagators; stale internal state surfaces here.
-        try:
-            solver.fixpoint()
-        except Inconsistency:
-            return INCONSISTENT
-        if all(map(is_, solver.doms, saved.instance)):
-            return saved  # the re-check removed nothing
-        return _outcome(solver)
+        self._solver.doms = list(saved.instance)
+        return _settled(self._solver, saved)
 
 
 def as_filter_with_state(recipe: Recipe, arity: int) -> SolverBackedStateful:

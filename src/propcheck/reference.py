@@ -365,7 +365,8 @@ def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT
     table that earlier ones grew; after wide lists it stays wide, and
     narrow calls combine longer bitsets.
     """
-    memo = _memos.setdefault(checker, _Memo(checker.arity))
+    # Build a memo only for a checker with none; setdefault keeps one if two threads race.
+    memo = _memos.get(checker) or _memos.setdefault(checker, _Memo(checker.arity))
     return Filter(
         arity=checker.arity,
         apply=functools.partial(_filter, checker, level=level, cap=cap, memo=memo),

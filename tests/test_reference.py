@@ -875,6 +875,20 @@ def test_bundled_factories_share_one_checker_per_argument_tuple():
     )
 
 
+def test_make_reference_builds_a_memo_only_for_a_checker_with_none(monkeypatch):
+    built = []
+
+    def counted(arity, memo=reference._Memo):
+        built.append(arity)
+        return memo(arity)
+
+    monkeypatch.setattr(reference, "_Memo", counted)
+    checker = Checker(3, lambda a: a[0] < a[1] < a[2], "increasing")
+    made = [make_reference(level, checker) for level in ConsistencyLevel]
+    assert built == [3]
+    assert len({id(memo_of(f)) for f in made}) == 1
+
+
 def test_an_evicted_checker_takes_its_memo_with_it():
     # Past the cache bound the least recently used checker is dropped, and
     # with it the memo that `_memos` holds for it. A total no other test
