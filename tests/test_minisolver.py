@@ -1,7 +1,9 @@
 """The micro-solver, its propagators, the solver-backed stateful subject
 (domains saved on push, put back on pop), and the seeded bugs."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 
 import pytest
@@ -717,17 +719,13 @@ _PINNED_DIGEST = "6da411913dcbe62854b5c33d7f37bc4eeb88efd5ec16fe57ede5891d1d4774
 _PINNED_RUNS = "0bc33b4ecf0a747587501206cde8b3d6586fc5b438ee6f3261e461298a622b16"
 
 
-def test_solver_campaign_outputs_and_propagator_runs_are_pinned(monkeypatch, capsys):
-    """Two sha256 pins over the pinned campaigns at seeds 0-24, taken in one
-    pass, and the failure names each pin that moved.
-
-    `_PINNED_DIGEST` is over the exit code and stdout of each campaign, so a
-    faster propagation engine must answer exactly as the one it replaces.
-    `_PINNED_RUNS` is over every propagator run: the propagator's class, the
-    open frames and the domains at entry, so the engine must also run the
-    propagators in the same order and on the same domains. The open frames
-    are counted from the operations: a new solver has none, a push opens
-    one and a pop closes one."""
+@pytest.fixture(scope="module")
+def pinned_solver_digests():
+    """Both sha256 digests over the pinned campaigns at seeds 0-24, taken in
+    one pass: `outputs` over the exit code and stdout of each campaign, and
+    `runs` over every propagator run (its class, the open frames and the
+    domains at entry). The open frames are counted from the operations: a
+    new solver has none, a push opens one and a pop closes one."""
     outputs, runs = hashlib.sha256(), hashlib.sha256()
     depth = 0
 
@@ -741,28 +739,37 @@ def test_solver_campaign_outputs_and_propagator_runs_are_pinned(monkeypatch, cap
         depth += {Push: 1, Pop: -1}.get(type(op), 0)
         return branch(self, op)
 
-    monkeypatch.setattr(minisolver, "_solver_for", fresh)
-    monkeypatch.setattr(SolverBackedStateful, "branch_and_filter", counted)
-    for cls in (SumEqualsBC, AllDifferentFC, AllDifferentAC):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minisolver, "_solver_for", fresh)
+        mp.setattr(SolverBackedStateful, "branch_and_filter", counted)
+        for cls in (SumEqualsBC, AllDifferentFC, AllDifferentAC):
 
-        def recorded(self, solver, propagate=cls.propagate):
-            runs.update(f"{type(self).__name__} {depth} {solver.doms}\n".encode())
-            propagate(self, solver)
+            def recorded(self, solver, propagate=cls.propagate):
+                runs.update(f"{type(self).__name__} {depth} {solver.doms}\n".encode())
+                propagate(self, solver)
 
-        monkeypatch.setattr(cls, "propagate", recorded)
-    for argv in _PINNED_CAMPAIGNS:
-        for seed in range(25):
-            code = cli_main([*argv, "--seed", str(seed)])
-            outputs.update(f"{code}\n{capsys.readouterr().out}".encode())
-    moved = [
-        f"{name} is now {digest.hexdigest()}"
-        for name, digest, pin in [
-            ("_PINNED_DIGEST", outputs, _PINNED_DIGEST),
-            ("_PINNED_RUNS", runs, _PINNED_RUNS),
-        ]
-        if digest.hexdigest() != pin
-    ]
-    assert not moved, "; ".join(moved)
+            mp.setattr(cls, "propagate", recorded)
+        for argv in _PINNED_CAMPAIGNS:
+            for seed in range(25):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli_main([*argv, "--seed", str(seed)])
+                outputs.update(f"{code}\n{out.getvalue()}".encode())
+    return {"outputs": outputs.hexdigest(), "runs": runs.hexdigest()}
+
+
+def test_solver_campaign_outputs_are_pinned(pinned_solver_digests):
+    """A faster propagation engine must answer exactly as the one it
+    replaces: same exit code and stdout on every pinned campaign."""
+    digest = pinned_solver_digests["outputs"]
+    assert digest == _PINNED_DIGEST, f"_PINNED_DIGEST is now {digest}"
+
+
+def test_solver_propagator_runs_are_pinned(pinned_solver_digests):
+    """A change to the propagation engine must run the propagators exactly
+    as the one it replaces, in the same order and on the same domains."""
+    digest = pinned_solver_digests["runs"]
+    assert digest == _PINNED_RUNS, f"_PINNED_RUNS is now {digest}"
 
 
 _PINNED_FC = "32854b47b05727d2cbef51807c7bbaac81ae46dd344fa0d82471269078af762a"
