@@ -95,6 +95,10 @@ def _starting_at(vs: Sequence[int], x: int) -> Sequence[int]:
     return [*vs[k:], *vs[:k]]
 
 
+# How many list sums a memo keeps per position (`_Memo.sums`).
+SHARED_SUMS = 256
+
+
 class _Memo:
     """What the `make_reference` filters over one checker keep across calls.
 
@@ -114,13 +118,26 @@ class _Memo:
     product of the keys of `bits[k]`. `lookup` grows the region to cover
     each call's lists, enumerating only the tuples it adds, so over the
     memo's life the checker is called once per tuple of the region.
+
+    `sums[k]` maps a list at position `k` (a `Domain`, or a hull `range`)
+    to the sum of its values' bitsets, for the first `SHARED_SUMS` lists
+    combined there, so a warm call combines one stored int per position
+    (`_valid`). A growth gives some lists solutions that their sums lack,
+    so `lookup` replaces the dicts rather than clearing them. A call reads
+    `sums` under `lock` with its `valid`, so a sum that its `rehull` stores
+    outside the lock goes into the generation of the region it found. Only
+    calls inside that region read it, and a solution added since holds a
+    value outside their lists, so its bit never survives the AND. Per
+    checker the sums hold at most `SHARED_SUMS` times the arity bitsets as
+    long as the table (threads that store at once may each add one more).
     """
 
-    __slots__ = ("witness", "bits", "count", "lock")
+    __slots__ = ("witness", "bits", "sums", "count", "lock")
 
     def __init__(self, arity: int) -> None:
         self.witness: Witnesses = {}
         self.bits: list[dict[int, int]] = [{} for _ in range(arity)]
+        self.sums: list[dict[Sequence[int], int]] = [{} for _ in range(arity)]
         self.count = 0  # the number of solutions in the table
         self.lock = threading.Lock()
 
@@ -136,7 +153,7 @@ class _Memo:
         """
         bits = self.bits
         try:
-            return _valid(bits, lists)
+            return _valid(bits, self.sums, lists)
         except KeyError:  # a value outside the region
             pass
         added = [[v for v in lst if v not in b] for b, lst in zip(bits, lists)]
@@ -152,18 +169,30 @@ class _Memo:
             b.update(dict.fromkeys(vs, 0))
         _pack(sols, bits, self.count)
         self.count += len(sols)
-        return _valid(bits, lists)
+        self.sums = [{} for _ in bits]
+        return _valid(bits, self.sums, lists)
 
 
-def _valid(bits: list[dict[int, int]], lists: Sequence[Sequence[int]]) -> int:
+def _valid(
+    bits: list[dict[int, int]],
+    sums: list[dict[Sequence[int], int]],
+    lists: Sequence[Sequence[int]],
+) -> int:
     """The bitset of the table's solutions inside `lists`.
 
     A solution holds one value per position, so the bitsets of one
-    position are disjoint and their sum is their union.
+    position are disjoint and their sum is their union. Each sum comes
+    from `sums` or is stored there while it has room; a list with a value
+    outside the region raises KeyError.
     """
     valid = -1
-    for b, lst in zip(bits, lists):
-        valid &= sum(map(b.__getitem__, lst))
+    for b, s, lst in zip(bits, sums, lists):
+        t = s.get(lst)
+        if t is None:
+            t = sum(map(b.__getitem__, lst))
+            if len(s) < SHARED_SUMS:
+                s[lst] = t
+        valid &= t
     return valid
 
 
@@ -196,10 +225,10 @@ _memos: weakref.WeakKeyDictionary[Checker, _Memo] = weakref.WeakKeyDictionary()
 
 def _filter(
     checker: Checker,
-    inst: Instance,
     level: ConsistencyLevel,
     cap: int,
-    memo: Optional[_Memo] = None,
+    memo: Optional[_Memo],
+    inst: Instance,
 ) -> FilterOutcome:
     """The fixpoint of all four levels: `_scan` with one of two support tests.
 
@@ -221,7 +250,8 @@ def _filter(
     the lists holds it, `bits[i][v] & valid`. A removal leaves `valid`
     stale but safe: on the domain levels the value removed was in no valid
     solution, and on the interval levels `valid` goes stale only when a
-    bound moves, and `rehull` recomputes it before the next pass. Neither
+    bound moves, and `rehull` recomputes it before the next pass, from the
+    sums of the generation the call read with `valid` (`_Memo`). Neither
     the test, the order nor the witnesses change an outcome: each fixpoint
     is unique.
     """
@@ -236,15 +266,20 @@ def _filter(
     # shows in every later search.
     lists: list[Sequence[int]] = doms if hulls is None else hulls
     witness: Witnesses = {}
-    if memo is not None and math.prod([d[-1] - d[0] + 1 for d in inst]) <= cap:
+    if hulls is None:
+        hull_product = math.prod([d[-1] - d[0] + 1 for d in inst])
+    else:
+        hull_product = math.prod(map(len, hulls))
+    if memo is not None and hull_product <= cap:
         bits = memo.bits
         with memo.lock:
             valid = memo.lookup(lists, pred, cap)
+            sums = memo.sums
         if valid is not None:
 
             def rehull() -> None:
                 nonlocal valid
-                valid = _valid(bits, lists)
+                valid = _valid(bits, sums, lists)
 
             return _scan(inst, doms, hulls, bounds_only, lambda i, v: bits[i][v] & valid, rehull)
         witness = memo.witness
@@ -326,28 +361,28 @@ def _scan(
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:
     """The unique GAC closure: every value that appears in some solution."""
-    return _filter(checker, inst, ConsistencyLevel.ARC, cap)
+    return _filter(checker, ConsistencyLevel.ARC, cap, None, inst)
 
 
 def bound_z_filter(
     checker: Checker, inst: Instance, cap: int = DEFAULT_CAP
 ) -> FilterOutcome:
     """Tighten bounds to the extreme values holding an interval support."""
-    return _filter(checker, inst, ConsistencyLevel.BOUND_Z, cap)
+    return _filter(checker, ConsistencyLevel.BOUND_Z, cap, None, inst)
 
 
 def bound_d_filter(
     checker: Checker, inst: Instance, cap: int = DEFAULT_CAP
 ) -> FilterOutcome:
     """Tighten bounds to the extreme values holding a domain support."""
-    return _filter(checker, inst, ConsistencyLevel.BOUND_D, cap)
+    return _filter(checker, ConsistencyLevel.BOUND_D, cap, None, inst)
 
 
 def range_filter(
     checker: Checker, inst: Instance, cap: int = DEFAULT_CAP
 ) -> FilterOutcome:
     """Drop every value (bounds and interior) lacking an interval support."""
-    return _filter(checker, inst, ConsistencyLevel.RANGE, cap)
+    return _filter(checker, ConsistencyLevel.RANGE, cap, None, inst)
 
 
 def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT_CAP):
@@ -356,19 +391,20 @@ def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT
     Every filter made over the same `checker` object, at any level and cap,
     shares one memo (`_Memo`) for as long as the checker lives: a table of
     the checker's solutions over a region that each call grows to cover its
-    own lists, enumerating only the tuples it adds, and witnesses, at most
-    one per (variable, value), for the calls whose grown region would pass
-    their cap. Outcomes equal the level function's. The first call pays for
-    a table over its lists, so for one instance the level function is
-    cheaper. The bundled factories share one checker per argument tuple,
-    so later commands and calls over a bundled constraint answer from the
-    table that earlier ones grew; after wide lists it stays wide, and
-    narrow calls combine longer bitsets.
+    own lists, enumerating only the tuples it adds, the bitset sums of the
+    lists it has combined (at most `SHARED_SUMS` per position), and
+    witnesses, at most one per (variable, value), for the calls whose grown
+    region would pass their cap. Outcomes equal the level function's. The
+    first call pays for a table over its lists, so for one instance the
+    level function is cheaper. The bundled factories share one checker per
+    argument tuple, so later commands and calls over a bundled constraint
+    answer from the table that earlier ones grew; after wide lists it stays
+    wide, and narrow calls combine longer bitsets.
     """
     # Build a memo only for a checker with none; setdefault keeps one if two threads race.
     memo = _memos.get(checker) or _memos.setdefault(checker, _Memo(checker.arity))
     return Filter(
         arity=checker.arity,
-        apply=functools.partial(_filter, checker, level=level, cap=cap, memo=memo),
+        apply=functools.partial(_filter, checker, level, cap, memo),
         name=f"{level.value}:{checker.name}",
     )

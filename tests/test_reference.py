@@ -500,7 +500,7 @@ def test_witnesses_are_shared_across_filters_and_calls():
 
 
 def memo_of(f):
-    return f.apply.keywords["memo"]
+    return reference._memos[f.apply.args[0]]
 
 
 def region(memo):
@@ -907,6 +907,45 @@ def test_an_evicted_checker_takes_its_memo_with_it():
     gc.collect()
     assert ref() is None
     assert "sum=1001" not in {c.name for c in reference._memos}
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_a_grown_region_never_reuses_an_old_sum(level):
+    # The first call stores the sum of [-1, 0, 1] at every position. The
+    # second grows the region by 2 at the last position, which adds
+    # solutions with -1, 0 or 1 at the others, such as (-1, -1, 2); a sum
+    # kept from before the growth lacks them, and 2 would lose its supports.
+    checker = unshared(sum_equals(0, 3))
+    f = make_reference(ConsistencyLevel(level), checker)
+    f.apply(Instance.of([[-1, 0, 1]] * 3))
+    grown = Instance.of([[-1, 0, 1], [-1, 0, 1], [-1, 0, 1, 2]])
+    assert f.apply(grown) == LEVEL_FUNCS[level](checker, grown) == Filtered(grown)
+
+
+def test_each_position_keeps_a_bounded_cache_of_sums_per_region():
+    # Every nonempty subset of -4..4 at position 0, more lists than the
+    # bound, inside one region: the sums of the first SHARED_SUMS are kept
+    # and the later ones are computed each time. A growth starts new dicts.
+    checker = unshared(sum_equals(0, 2))
+    filters = {level: make_reference(ConsistencyLevel(level), checker) for level in ("arc", "boundd")}
+    memo = memo_of(filters["arc"])
+    full = list(range(-4, 5))
+    subsets = [[v for k, v in enumerate(full) if mask >> k & 1] for mask in range(1, 2 ** len(full))]
+    assert len(subsets) > reference.SHARED_SUMS
+    filters["arc"].apply(Instance.of([full, full]))
+    first = memo.sums
+    for _ in range(2):
+        for lst in subsets:
+            inst = Instance.of([lst, full])
+            for level, f in filters.items():
+                assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (level, lst)
+    assert memo.sums is first
+    assert list(map(len, first)) == [reference.SHARED_SUMS, 1]
+    grown = Instance.of([[-5, 5], full])
+    assert filters["arc"].apply(grown) == LEVEL_FUNCS["arc"](checker, grown)
+    assert not any(map(operator.is_, memo.sums, first))
+    assert list(map(len, memo.sums)) == [1, 1]
+    assert list(map(len, first)) == [reference.SHARED_SUMS, 1]
 
 
 def test_threads_that_share_a_memo_answer_as_the_level_functions():
