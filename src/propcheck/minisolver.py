@@ -342,12 +342,18 @@ def with_bug(bug: BugId, recipe: Recipe) -> Recipe:
     return recipe._replace(bug=bug)
 
 
-def _solver_for(recipe: Recipe, arity: int, inst: Instance) -> Optional[Solver]:
-    """A fresh solver over `inst` and `recipe`'s propagator, not yet run;
-    None when a domain is empty."""
+def _first_run(
+    recipe: Recipe, arity: int, inst: Instance
+) -> tuple[Optional[Solver], FilterOutcome]:
+    """A fresh solver over `inst` and `recipe`'s propagator, run to its
+    fixpoint, and its outcome (`_settled`); no solver and INCONSISTENT
+    when a domain is empty."""
     if inst.arity != arity:
         raise ContractViolationError(f"instance arity {inst.arity} != filter arity {arity}")
-    return Solver(inst, recipe.propagator()) if all(inst) else None
+    if not all(inst):
+        return None, INCONSISTENT
+    solver = Solver(inst, recipe.propagator())
+    return solver, _settled(solver, Filtered(inst))
 
 
 def _settled(solver: Solver, before: Filtered) -> FilterOutcome:
@@ -369,8 +375,7 @@ def as_filter(recipe: Recipe, arity: int) -> Filter:
     outcome `_settled` gives."""
 
     def apply(inst: Instance) -> FilterOutcome:
-        solver = _solver_for(recipe, arity, inst)
-        return INCONSISTENT if solver is None else _settled(solver, Filtered(inst))
+        return _first_run(recipe, arity, inst)[1]
 
     return Filter(arity=arity, apply=apply, name=recipe.display_name())
 
@@ -389,8 +394,8 @@ class SolverBackedStateful(SnapshotStack):
         self._solver: Optional[Solver] = None
 
     def _root(self, root: Instance) -> FilterOutcome:
-        self._solver = solver = _solver_for(self._recipe, self._arity, root)
-        return INCONSISTENT if solver is None else _settled(solver, Filtered(root))
+        self._solver, outcome = _first_run(self._recipe, self._arity, root)
+        return outcome
 
     def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
         solver = self._solver

@@ -106,10 +106,7 @@ class _Memo:
     checker, and each call checks it against its own level's lists, while
     the table covers whatever lists it has seen. So every filter over one
     `Checker` object, at any level and cap, shares one memo (`_memos`), and
-    the memo of a bundled checker lasts the process. `lock` serializes the
-    lookups, so threads may share a memo: each solution a lookup adds holds
-    a value outside the region it found, so it never enters the `valid` of
-    a call still scanning lists inside that region.
+    the memo of a bundled checker lasts the process.
 
     Besides the witnesses, it keeps a table of the checker's solutions
     over a region: `bits[k][v]` is an int whose bit `n` is set when the
@@ -121,15 +118,15 @@ class _Memo:
 
     `sums[k]` maps a list at position `k` (a `Domain`, or a hull `range`)
     to the sum of its values' bitsets, for the first `SHARED_SUMS` lists
-    combined there, so a warm call combines one stored int per position
-    (`_valid`). A growth gives some lists solutions that their sums lack,
-    so `lookup` replaces the dicts rather than clearing them. A call reads
-    `sums` under `lock` with its `valid`, so a sum that its `rehull` stores
-    outside the lock goes into the generation of the region it found. Only
-    calls inside that region read it, and a solution added since holds a
-    value outside their lists, so its bit never survives the AND. Per
-    checker the sums hold at most `SHARED_SUMS` times the arity bitsets as
-    long as the table (threads that store at once may each add one more).
+    combined there since the region last grew, so a warm call combines one
+    stored int per position (`valid`). A growth gives some lists solutions
+    that their sums lack, so it clears the dicts. Per checker the sums hold
+    at most `SHARED_SUMS` times the arity bitsets as long as the table.
+
+    Threads may share a memo. A call that takes the table test holds `lock`
+    from its `lookup` until its scan ends, so no table or sum changes under
+    a scan. The search test reads and adds witnesses without the lock: each
+    is a solution, checked against the call's own lists before it is used.
     """
 
     __slots__ = ("witness", "bits", "sums", "count", "lock")
@@ -153,7 +150,7 @@ class _Memo:
         """
         bits = self.bits
         try:
-            return _valid(bits, self.sums, lists)
+            return self.valid(lists)
         except KeyError:  # a value outside the region
             pass
         added = [[v for v in lst if v not in b] for b, lst in zip(bits, lists)]
@@ -169,31 +166,27 @@ class _Memo:
             b.update(dict.fromkeys(vs, 0))
         _pack(sols, bits, self.count)
         self.count += len(sols)
-        self.sums = [{} for _ in bits]
-        return _valid(bits, self.sums, lists)
+        for s in self.sums:
+            s.clear()
+        return self.valid(lists)
 
+    def valid(self, lists: Sequence[Sequence[int]]) -> int:
+        """The bitset of the table's solutions inside `lists`.
 
-def _valid(
-    bits: list[dict[int, int]],
-    sums: list[dict[Sequence[int], int]],
-    lists: Sequence[Sequence[int]],
-) -> int:
-    """The bitset of the table's solutions inside `lists`.
-
-    A solution holds one value per position, so the bitsets of one
-    position are disjoint and their sum is their union. Each sum comes
-    from `sums` or is stored there while it has room; a list with a value
-    outside the region raises KeyError.
-    """
-    valid = -1
-    for b, s, lst in zip(bits, sums, lists):
-        t = s.get(lst)
-        if t is None:
-            t = sum(map(b.__getitem__, lst))
-            if len(s) < SHARED_SUMS:
-                s[lst] = t
-        valid &= t
-    return valid
+        A solution holds one value per position, so the bitsets of one
+        position are disjoint and their sum is their union. Each sum comes
+        from `sums` or is stored there while it has room; a list with a value
+        outside the region raises KeyError.
+        """
+        valid = -1
+        for b, s, lst in zip(self.bits, self.sums, lists):
+            t = s.get(lst)
+            if t is None:
+                t = sum(map(b.__getitem__, lst))
+                if len(s) < SHARED_SUMS:
+                    s[lst] = t
+            valid &= t
+        return valid
 
 
 # A translation table that maps every byte to b"0"; `_pack` sets one byte to b"1".
@@ -250,8 +243,7 @@ def _filter(
     the lists holds it, `bits[i][v] & valid`. A removal leaves `valid`
     stale but safe: on the domain levels the value removed was in no valid
     solution, and on the interval levels `valid` goes stale only when a
-    bound moves, and `rehull` recomputes it before the next pass, from the
-    sums of the generation the call read with `valid` (`_Memo`). Neither
+    bound moves, and `rehull` recomputes it before the next pass. Neither
     the test, the order nor the witnesses change an outcome: each fixpoint
     is unique.
     """
@@ -274,14 +266,15 @@ def _filter(
         bits = memo.bits
         with memo.lock:
             valid = memo.lookup(lists, pred, cap)
-            sums = memo.sums
-        if valid is not None:
+            if valid is not None:
 
-            def rehull() -> None:
-                nonlocal valid
-                valid = _valid(bits, sums, lists)
+                def rehull() -> None:
+                    nonlocal valid
+                    valid = memo.valid(lists)
 
-            return _scan(inst, doms, hulls, bounds_only, lambda i, v: bits[i][v] & valid, rehull)
+                return _scan(
+                    inst, doms, hulls, bounds_only, lambda i, v: bits[i][v] & valid, rehull
+                )
         witness = memo.witness
     last: Optional[Assignment] = None
 
@@ -389,17 +382,13 @@ def make_reference(level: ConsistencyLevel, checker: Checker, cap: int = DEFAULT
     """A Filter applying the reference algorithm for `level` to `checker`.
 
     Every filter made over the same `checker` object, at any level and cap,
-    shares one memo (`_Memo`) for as long as the checker lives: a table of
-    the checker's solutions over a region that each call grows to cover its
-    own lists, enumerating only the tuples it adds, the bitset sums of the
-    lists it has combined (at most `SHARED_SUMS` per position), and
-    witnesses, at most one per (variable, value), for the calls whose grown
-    region would pass their cap. Outcomes equal the level function's. The
-    first call pays for a table over its lists, so for one instance the
-    level function is cheaper. The bundled factories share one checker per
-    argument tuple, so later commands and calls over a bundled constraint
-    answer from the table that earlier ones grew; after wide lists it stays
-    wide, and narrow calls combine longer bitsets.
+    shares one memo (`_Memo`) for as long as the checker lives. Outcomes
+    equal the level function's. The first call pays for a table over its
+    lists, so for one instance the level function is cheaper. The bundled
+    factories share one checker per argument tuple, so later commands and
+    calls over a bundled constraint answer from the table that earlier ones
+    grew; after wide lists it stays wide, and narrow calls combine longer
+    bitsets.
     """
     # Build a memo only for a checker with none; setdefault keeps one if two threads race.
     memo = _memos.get(checker) or _memos.setdefault(checker, _Memo(checker.arity))

@@ -201,17 +201,9 @@ def incremental_factory(base: Filter) -> Callable[[], IncrementalFiltering]:
     the memo changes no outcome, only how often `base` runs: a dive
     campaign and its shrinker filter each distinct instance once while it
     is kept. A call that raises is not kept, so an exceeded cap raises
-    again. The memo is built on the first call, so a factory that is never
-    called costs nothing."""
-    shared: Optional[Filter] = None
-
-    def make() -> IncrementalFiltering:
-        nonlocal shared
-        if shared is None:
-            shared = base._replace(apply=functools.lru_cache(SHARED_OUTCOMES)(base.apply))
-        return IncrementalFiltering(shared)
-
-    return make
+    again. The memo is built with the factory."""
+    shared = base._replace(apply=functools.lru_cache(SHARED_OUTCOMES)(base.apply))
+    return functools.partial(IncrementalFiltering, shared)
 
 
 class _DiveConfig(NamedTuple):

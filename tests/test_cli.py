@@ -818,7 +818,7 @@ class TestSharedOutcomes:
 
     def test_a_recipe_side_gets_a_fresh_solver_every_evaluation(self, capsys, monkeypatch):
         trusted, solvers = [], [0]
-        dives, solver_for = stateful.dives, minisolver._solver_for
+        dives, first_run = stateful.dives, minisolver._first_run
 
         def recorded(root, trusted_subject, *args):
             trusted.append((root, trusted_subject))
@@ -826,10 +826,10 @@ class TestSharedOutcomes:
 
         def counted(*args):
             solvers[0] += 1
-            return solver_for(*args)
+            return first_run(*args)
 
         monkeypatch.setattr(stateful, "dives", recorded)
-        monkeypatch.setattr(minisolver, "_solver_for", counted)
+        monkeypatch.setattr(minisolver, "_first_run", counted)
         code, _, _ = run_cli(
             capsys,
             "dive", "--trusted", "alldiff-fc", "--tested", "alldiff-fc+bug:TRAIL_NO_RESTORE",
@@ -843,7 +843,7 @@ class TestSharedOutcomes:
     @pytest.mark.parametrize(
         "argv,memos",
         [
-            (("run", "--mode", "check", "--trusted", "arc:alldiff", "--tested", "arc:alldiff"), 0),
+            (("run", "--mode", "check", "--trusted", "arc:alldiff", "--tested", "arc:alldiff"), 2),
             (("dive", "--trusted", "arc:alldiff", "--tested", "alldiff-ac"), 1),
             (("dive", "--trusted", "arc:alldiff", "--tested", "arc:alldiff"), 2),
             (("dive", "--trusted", "alldiff-fc", "--tested", "alldiff-fc"), 0),
@@ -853,14 +853,17 @@ class TestSharedOutcomes:
     def test_a_memo_is_built_for_each_reference_side_that_dives(
         self, capsys, monkeypatch, argv, memos
     ):
+        # One memo per reference side of every command, built with the
+        # side's factory, and none for a recipe.
         built = []
-        lru_cache = stateful.functools.lru_cache
+        lru_cache, partial = stateful.functools.lru_cache, stateful.functools.partial
 
         def counted(maxsize):
             built.append(maxsize)
             return lru_cache(maxsize)
 
-        monkeypatch.setattr(stateful, "functools", SimpleNamespace(lru_cache=counted))
+        fake = SimpleNamespace(lru_cache=counted, partial=partial)
+        monkeypatch.setattr(stateful, "functools", fake)
         code, _, _ = run_cli(capsys, *argv, "--vars", "3", "--seed", "2")
         assert code == EXIT_PASS
         assert built == [stateful.SHARED_OUTCOMES] * memos

@@ -729,10 +729,10 @@ def pinned_solver_digests():
     outputs, runs = hashlib.sha256(), hashlib.sha256()
     depth = 0
 
-    def fresh(*args, solver_for=minisolver._solver_for):
+    def fresh(*args, first_run=minisolver._first_run):
         nonlocal depth
         depth = 0
-        return solver_for(*args)
+        return first_run(*args)
 
     def counted(self, op, branch=SolverBackedStateful.branch_and_filter):
         nonlocal depth
@@ -740,7 +740,7 @@ def pinned_solver_digests():
         return branch(self, op)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minisolver, "_solver_for", fresh)
+        mp.setattr(minisolver, "_first_run", fresh)
         mp.setattr(SolverBackedStateful, "branch_and_filter", counted)
         for cls in (SumEqualsBC, AllDifferentFC, AllDifferentAC):
 

@@ -925,27 +925,48 @@ def test_a_grown_region_never_reuses_an_old_sum(level):
 def test_each_position_keeps_a_bounded_cache_of_sums_per_region():
     # Every nonempty subset of -4..4 at position 0, more lists than the
     # bound, inside one region: the sums of the first SHARED_SUMS are kept
-    # and the later ones are computed each time. A growth starts new dicts.
+    # and the later ones are computed each time. A growth empties the same
+    # dicts, which then hold the sums of the call that grew the region.
     checker = unshared(sum_equals(0, 2))
     filters = {level: make_reference(ConsistencyLevel(level), checker) for level in ("arc", "boundd")}
     memo = memo_of(filters["arc"])
+    sums = list(memo.sums)
     full = list(range(-4, 5))
     subsets = [[v for k, v in enumerate(full) if mask >> k & 1] for mask in range(1, 2 ** len(full))]
     assert len(subsets) > reference.SHARED_SUMS
     filters["arc"].apply(Instance.of([full, full]))
-    first = memo.sums
     for _ in range(2):
         for lst in subsets:
             inst = Instance.of([lst, full])
             for level, f in filters.items():
                 assert f.apply(inst) == LEVEL_FUNCS[level](checker, inst), (level, lst)
-    assert memo.sums is first
-    assert list(map(len, first)) == [reference.SHARED_SUMS, 1]
+    assert list(map(operator.is_, memo.sums, sums)) == [True, True]
+    stored = [full, *subsets[: reference.SHARED_SUMS - 1]]
+    assert [list(map(list, s)) for s in sums] == [stored, [full]]
     grown = Instance.of([[-5, 5], full])
     assert filters["arc"].apply(grown) == LEVEL_FUNCS["arc"](checker, grown)
-    assert not any(map(operator.is_, memo.sums, first))
-    assert list(map(len, memo.sums)) == [1, 1]
-    assert list(map(len, first)) == [reference.SHARED_SUMS, 1]
+    assert list(map(operator.is_, memo.sums, sums)) == [True, True]
+    assert [list(map(list, s)) for s in sums] == [[[-5, 5]], [full]]
+
+
+def test_a_table_call_holds_the_lock_until_its_scan_ends(monkeypatch):
+    # A scan that answers from the table runs under the memo's lock, so no
+    # other thread grows the table or clears a sum under it; a call past
+    # its cap searches without the lock.
+    checker = unshared(sum_equals(0, 3))
+    inst = Instance.of([[-2, 0, 2], [-1, 1], [0, 3]])
+    caps = (DEFAULT_CAP, 20)
+    expected = [bound_z_filter(checker, inst, cap) for cap in caps]
+    filters = [make_reference(ConsistencyLevel.BOUND_Z, checker, cap) for cap in caps]
+    memo, held, scan = memo_of(filters[0]), [], reference._scan
+
+    def watched(*args):
+        held.append(memo.lock.locked())
+        return scan(*args)
+
+    monkeypatch.setattr(reference, "_scan", watched)
+    assert [f.apply(inst) for f in filters] == expected
+    assert held == [True, False]
 
 
 def test_threads_that_share_a_memo_answer_as_the_level_functions():
@@ -982,6 +1003,14 @@ def test_threads_that_share_a_memo_answer_as_the_level_functions():
     assert wrong == []
     memo = memo_of(filters[0])
     assert sorted(table_solutions(memo)) == solutions(checker, Instance.of(region(memo)))
+    # Every stored sum is the sum of its list's bitsets over the table as it is.
+    stale = [
+        (k, lst)
+        for k, (b, s) in enumerate(zip(memo.bits, memo.sums))
+        for lst, t in s.items()
+        if t != sum(map(b.__getitem__, lst))
+    ]
+    assert any(memo.sums) and stale == []
 
 
 def test_reference_filters_call_the_predicate_in_a_fixed_order():
