@@ -12,7 +12,10 @@ range-checks its input; every value that comes from outside the program
 `Domain._from_sorted` skips those checks and is used only for values
 derived from an existing `Domain` or solver variable, which are already
 sorted, distinct and in range. `Instance(domains)` rejects arity 0
-and any element that is not a `Domain`.
+and any element that is not a `Domain`. `Instance._from_domains` skips
+those checks and is used only for a filter's outcome built from the
+domains of the instance it filtered, some replaced by `Domain`s derived
+from them: a nonempty sequence of `Domain`s by construction.
 """
 
 from __future__ import annotations
@@ -114,6 +117,11 @@ class Instance(tuple):
         if not all(map(isinstance, ds, repeat(Domain))):
             raise TypeError("Instance expects Domain values")
         return ds
+
+    @classmethod
+    def _from_domains(cls, domains: Iterable[Domain]) -> "Instance":
+        """An instance over `domains`, which must be `Domain`s, at least one."""
+        return tuple.__new__(cls, domains)
 
     @classmethod
     def of(cls, lists: Iterable[Iterable[int]]) -> "Instance":

@@ -367,7 +367,7 @@ def _settled(solver: Solver, before: Filtered) -> FilterOutcome:
         return INCONSISTENT
     if all(map(is_, solver.doms, before.instance)):
         return before
-    return Filtered(Instance(solver.doms))
+    return Filtered(Instance._from_domains(solver.doms))
 
 
 def as_filter(recipe: Recipe, arity: int) -> Filter:

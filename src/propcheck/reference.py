@@ -112,9 +112,11 @@ class _Memo:
     over a region: `bits[k][v]` is an int whose bit `n` is set when the
     n-th solution found has value `v` at position `k` (the bitsets of
     Compact-Table, Demeulenaere et al. 2016), and the region is the
-    product of the keys of `bits[k]`. `lookup` grows the region to cover
-    each call's lists, enumerating only the tuples it adds, so over the
-    memo's life the checker is called once per tuple of the region.
+    product of the keys of `bits[k]`. The dicts of `bits` are the table's
+    columns, which `_scan` reads with one subscript per value tested.
+    `lookup` grows the region to cover each call's lists, enumerating only
+    the tuples it adds, so over the memo's life the checker is called once
+    per tuple of the region.
 
     `sums[k]` maps a list at position `k` (a `Domain`, or a hull `range`)
     to the sum of its values' bitsets, for the first `SHARED_SUMS` lists
@@ -123,9 +125,9 @@ class _Memo:
     that their sums lack, so it clears the dicts. Per checker the sums hold
     at most `SHARED_SUMS` times the arity bitsets as long as the table.
 
-    Threads may share a memo. A call that takes the table test holds `lock`
-    from its `lookup` until its scan ends, so no table or sum changes under
-    a scan. The search test reads and adds witnesses without the lock: each
+    Threads may share a memo. A call that answers from the table holds
+    `lock` from its `lookup` until its scan ends, so no table or sum changes
+    under a scan. A search reads and adds witnesses without the lock: each
     is a solution, checked against the call's own lists before it is used.
     """
 
@@ -216,6 +218,58 @@ def _pack(sols: list[Assignment], bits: list[dict[int, int]], offset: int) -> No
 _memos: weakref.WeakKeyDictionary[Checker, _Memo] = weakref.WeakKeyDictionary()
 
 
+class _Search:
+    """What the search columns of one `_filter` call share: the lists, the
+    witnesses, the predicate, the cap and the last support found."""
+
+    __slots__ = ("lists", "witness", "pred", "cap", "last")
+
+    def __init__(
+        self,
+        lists: list[Sequence[int]],
+        witness: Witnesses,
+        pred: Callable[[Assignment], bool],
+        cap: int,
+    ) -> None:
+        self.lists = lists
+        self.witness = witness
+        self.pred = pred
+        self.cap = cap
+        self.last: Optional[Assignment] = None
+
+
+class _Column:
+    """Position `i`'s search column: `col[v]` is true iff `v` has a support
+    at `i`, found by the search that `_filter` describes."""
+
+    __slots__ = ("search", "i")
+
+    def __init__(self, search: _Search, i: int) -> None:
+        self.search = search
+        self.i = i
+
+    def __getitem__(self, v: int) -> bool:
+        s, i = self.search, self.i
+        lists = s.lists
+        t = s.witness.get((i, v))
+        if t is not None and all(map(operator.contains, lists, t)):
+            return True
+        space = lists.copy()
+        space[i] = (v,)
+        if math.prod(map(len, space)) > s.cap:
+            raise EnumerationCapExceeded(
+                f"support search for variable {i} needs more than {s.cap} tuples"
+            )
+        if s.last is not None:
+            space = list(map(_starting_at, space, s.last))
+        t = next(filter(s.pred, itertools.product(*space)), None)
+        if t is None:
+            return False
+        s.last = t
+        s.witness.update(dict.fromkeys(enumerate(t), t))
+        return True
+
+
 def _filter(
     checker: Checker,
     level: ConsistencyLevel,
@@ -223,29 +277,27 @@ def _filter(
     memo: Optional[_Memo],
     inst: Instance,
 ) -> FilterOutcome:
-    """The fixpoint of all four levels: `_scan` with one of two support tests.
+    """The fixpoint of all four levels: `_scan` over the table's columns or
+    over search columns.
 
     Supports range over the current value lists: the domains being
-    scanned, or their hulls for interval supports. The search test gives
-    each value an early-exit support search over the lists, each rotated
-    to start at its value in the last support found in this call (phase
-    saving). A support found is the witness of each of its components,
-    and a later test reuses it while every component is still inside the
-    lists (residual supports, Lecoutre & Hemery 2007).
+    scanned, or their hulls for interval supports. The search columns
+    (`_Column`) give each value an early-exit support search over the
+    lists, each rotated to start at its value in the last support found in
+    this call (phase saving). A support found is the witness of each of
+    its components, and a later test reuses it while every component is
+    still inside the lists (residual supports, Lecoutre & Hemery 2007).
 
     `memo` may hold the witnesses and the table of earlier calls, made at
     any level and under any cap. It is used only when the product of the
     hulls fits this call's `cap`, so that no search can pass the cap and
     whether a call raises never depends on earlier calls. The table's
     region then grows to cover this call's lists unless it would pass the
-    cap (`_Memo.lookup`), and while it covers them the table test replaces
-    the search: a value is supported iff some solution of the table inside
-    the lists holds it, `bits[i][v] & valid`. A removal leaves `valid`
-    stale but safe: on the domain levels the value removed was in no valid
-    solution, and on the interval levels `valid` goes stale only when a
-    bound moves, and `rehull` recomputes it before the next pass. Neither
-    the test, the order nor the witnesses change an outcome: each fixpoint
-    is unique.
+    cap (`_Memo.lookup`), and while it covers them the table replaces the
+    search: its columns are the memo's dicts `bits`, and a value is
+    supported iff some solution of the table inside the lists holds it,
+    `bits[i][v] & valid`. Neither the test, the order nor the witnesses
+    change an outcome: each fixpoint is unique.
     """
     _check_arity(checker, inst)
     if not all(inst):
@@ -263,42 +315,14 @@ def _filter(
     else:
         hull_product = math.prod(map(len, hulls))
     if memo is not None and hull_product <= cap:
-        bits = memo.bits
         with memo.lock:
             valid = memo.lookup(lists, pred, cap)
             if valid is not None:
-
-                def rehull() -> None:
-                    nonlocal valid
-                    valid = memo.valid(lists)
-
-                return _scan(
-                    inst, doms, hulls, bounds_only, lambda i, v: bits[i][v] & valid, rehull
-                )
+                return _scan(inst, doms, hulls, bounds_only, memo.bits, valid, memo)
         witness = memo.witness
-    last: Optional[Assignment] = None
-
-    def searched(i: int, v: int) -> bool:
-        nonlocal last
-        t = witness.get((i, v))
-        if t is not None and all(map(operator.contains, lists, t)):
-            return True
-        space = lists.copy()
-        space[i] = (v,)
-        if math.prod(map(len, space)) > cap:
-            raise EnumerationCapExceeded(
-                f"support search for variable {i} needs more than {cap} tuples"
-            )
-        if last is not None:
-            space = list(map(_starting_at, space, last))
-        t = next(filter(pred, itertools.product(*space)), None)
-        if t is None:
-            return False
-        last = t
-        witness.update(dict.fromkeys(enumerate(t), t))
-        return True
-
-    return _scan(inst, doms, hulls, bounds_only, searched, lambda: None)
+    search = _Search(lists, witness, pred, cap)
+    columns = [_Column(search, i) for i in range(len(doms))]
+    return _scan(inst, doms, hulls, bounds_only, columns, -1, None)
 
 
 def _scan(
@@ -306,50 +330,66 @@ def _scan(
     doms: list[Domain],
     hulls: Optional[list[range]],
     bounds_only: bool,
-    supported: Callable[[int, int], object],
-    rehull: Callable[[], None],
+    columns: Sequence,
+    valid: int,
+    table: Optional[_Memo],
 ) -> FilterOutcome:
     """Filter `doms`, a copy of `inst`'s domains, to the level's fixpoint.
 
+    A value `v` of position `i` is supported iff `columns[i][v] & valid`:
+    the table's columns and the bitset of its solutions inside the lists,
+    or search columns and -1. A `valid` of 0 means the lists hold no
+    solution, so the outcome is INCONSISTENT with no value tested.
+
     A pass tests the variables in order: a full level tests every value,
     and a bounds-only level scans inward from each end until a value is
-    `supported`. A domain that loses a value is replaced when its scan
+    supported. A domain that loses a value is replaced when its scan
     ends, which changes no test: each test of a variable fixes it to the
     value tested. With domain supports (`hulls` is None) one pass
     suffices: every support is a solution, and a solution loses none of
-    its values. When a bound moves, the interval levels update `hulls`,
-    call `rehull` and repeat the pass. A domain that loses no value is
-    kept as it is.
+    its values. A removal leaves the table's `valid` stale but safe: on
+    the domain levels the value removed was in no valid solution. When a
+    bound moves, the interval levels update `hulls`, recompute `valid`
+    from `table` if they answer from it, and repeat the pass. A domain
+    that loses no value is kept as it is.
     """
     changed, moved = False, True
     while moved:
+        if not valid:
+            return INCONSISTENT
         moved = False
         for i, d in enumerate(doms):
+            col = columns[i]
             n = len(d)
             if bounds_only:
                 # The scan from above stops at the supported low bound, which
                 # it need not test again.
                 lo = 0
-                while lo < n and not supported(i, d[lo]):
+                while lo < n and not col[d[lo]] & valid:
                     lo += 1
                 hi = n - 1
-                while hi > lo and not supported(i, d[hi]):
+                while hi > lo and not col[d[hi]] & valid:
                     hi -= 1
                 vs = d[lo : hi + 1]
             else:
-                vs = [v for v in d if supported(i, v)]
+                # A loop, not a comprehension: CPython 3.11 calls a
+                # comprehension as a function, once per variable.
+                vs = []
+                for v in d:
+                    if col[v] & valid:
+                        vs.append(v)
             if len(vs) == n:
                 continue
             if not vs:
                 return INCONSISTENT
-            d = doms[i] = Domain._from_sorted(vs)
+            doms[i] = Domain._from_sorted(vs)
             changed = True
-            if hulls is not None and hulls[i] != (h := range(d[0], d[-1] + 1)):
+            if hulls is not None and hulls[i] != (h := range(vs[0], vs[-1] + 1)):
                 hulls[i] = h
                 moved = True
-        if moved:
-            rehull()
-    return Filtered(Instance(doms)) if changed else Filtered(inst)
+        if moved and table is not None:
+            valid = table.valid(hulls)
+    return Filtered(Instance._from_domains(doms)) if changed else Filtered(inst)
 
 
 def arc_filter(checker: Checker, inst: Instance, cap: int = DEFAULT_CAP) -> FilterOutcome:

@@ -101,7 +101,7 @@ def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
         return INCONSISTENT
     doms = list(inst.domains)
     doms[r.index] = kept
-    return Filtered(Instance(doms))
+    return Filtered(Instance._from_domains(doms))
 
 
 def random_restriction(rng: SplitMix64, inst: Instance) -> RestrictDomain:

@@ -1,5 +1,7 @@
 """Core value types: construction, comparison primitives, ordering laws."""
 
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,15 @@ class TestInstance:
         b = Instance([Domain([1, 2]), Domain([3])])
         assert a == b and hash(a) == hash(b)
         assert a.domains == (Domain([1, 2]), Domain([3]))
+
+    def test_unchecked_construction_equals_the_checked_one(self):
+        # A filter builds its outcome from domains it already holds, which
+        # need no check: the instance it gets is the one the constructor gives.
+        doms = [Domain([1, 2]), Domain([3]), Domain._from_sorted([-1, 4])]
+        a, b = Instance._from_domains(doms), Instance(doms)
+        assert type(a) is Instance
+        assert a == b and hash(a) == hash(b) and a.domains == tuple(doms)
+        assert all(map(operator.is_, a, doms))
 
     def test_non_domain_rejected(self):
         with pytest.raises(TypeError):

@@ -949,6 +949,46 @@ def test_each_position_keeps_a_bounded_cache_of_sums_per_region():
     assert [list(map(list, s)) for s in sums] == [[[-5, 5]], [full]]
 
 
+class CountingColumn(dict):
+    """A position's bitsets in the table that counts the values read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def count_column_reads(f, inst):
+    """`f.apply(inst)` once more after a first call, and the number of values
+    read from the table's columns; the first call stored the sums of the
+    lists, so the second reads only what its scan tests."""
+    out = f.apply(inst)
+    memo = memo_of(f)
+    memo.bits[:] = map(CountingColumn, memo.bits)
+    assert f.apply(inst) == out
+    return out, sum(c.reads for c in memo.bits)
+
+
+@pytest.mark.parametrize("level", sorted(LEVEL_FUNCS))
+def test_a_table_call_over_lists_with_no_solution_tests_no_value(level):
+    # The minima sum to -8 > -9, so no tuple of these lists sums to -9: the
+    # table's solutions inside them are none, and the call answers at once.
+    checker = unshared(sum_equals(-9, 5))
+    inst = Instance.of([[-2, -1, 0], [-3, -2], [-1, 1], [-1, 0, 2], [-1, 3]])
+    assert LEVEL_FUNCS[level](checker, inst) is INCONSISTENT
+    f = make_reference(ConsistencyLevel(level), checker)
+    assert count_column_reads(f, inst) == (INCONSISTENT, 0)
+
+
+def test_a_table_call_that_keeps_its_instance_tests_each_value_once():
+    inst = Instance.of([[-3, -2, -1]] * 5)
+    f = make_reference(ConsistencyLevel.ARC, unshared(sum_equals(-9, 5)))
+    out, reads = count_column_reads(f, inst)
+    assert out == Filtered(inst) and out.instance is inst
+    assert reads == 15
+
+
 def test_a_table_call_holds_the_lock_until_its_scan_ends(monkeypatch):
     # A scan that answers from the table runs under the memo's lock, so no
     # other thread grows the table or clears a sum under it; a call past
