@@ -37,9 +37,6 @@ class Checker:
     def __repr__(self) -> str:
         return f"Checker(arity={self.arity!r}, predicate={self.predicate!r}, name={self.name!r})"
 
-    def __call__(self, assignment: Assignment) -> bool:
-        return self.predicate(assignment)
-
 
 # How many checkers each bundled factory keeps alive for reuse.
 SHARED_CHECKERS = 16

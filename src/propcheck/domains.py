@@ -81,9 +81,6 @@ class Domain(tuple):
     def __repr__(self) -> str:
         return "{%s}" % ", ".join(str(v) for v in self)
 
-    def is_empty(self) -> bool:
-        return not self
-
     def min(self) -> int:
         if not self:
             raise ValueError("empty domain has no minimum")

@@ -310,11 +310,7 @@ def _filter(
     # shows in every later search.
     lists: list[Sequence[int]] = doms if hulls is None else hulls
     witness: Witnesses = {}
-    if hulls is None:
-        hull_product = math.prod([d[-1] - d[0] + 1 for d in inst])
-    else:
-        hull_product = math.prod(map(len, hulls))
-    if memo is not None and hull_product <= cap:
+    if memo is not None and math.prod([d[-1] - d[0] + 1 for d in inst]) <= cap:
         with memo.lock:
             valid = memo.lookup(lists, pred, cap)
             if valid is not None:

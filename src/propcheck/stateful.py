@@ -2,16 +2,18 @@
 
 A dive interleaves a push of the state with a random domain restriction
 until a leaf (inconsistent or all variables fixed), then pops a random
-number of frames and starts again. Both subjects receive the identical
-operation sequence and their outcomes are compared after every single
-operation, so state divergence surfaces at the earliest observable point.
+number of frames and starts again. Dives and replay drive one pair of
+subjects: both are set up on the root and receive the identical operation
+sequence, and their outcomes are compared after setup and after every
+single operation, so state divergence surfaces at the earliest observable
+point.
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-from typing import Callable, Generator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .domains import (
     INCONSISTENT,
@@ -239,37 +241,39 @@ def _tested_outcome(
 _AFTER = {Push: "push", Pop: "pop", RestrictDomain: "restriction"}
 
 
-def _first_difference(
-    root: Instance,
-    trusted: FilterWithState,
-    tested: FilterWithState,
-    next_op: Callable[[FilterOutcome], Optional[BranchOp]],
-) -> Optional[Failure]:
-    """Set both subjects up on `root`, then apply the operations that
-    `next_op` gives for each trusted outcome until it gives None, comparing
-    outcomes after every step. Returns the first disagreement, whose
-    transcript ends with the operation it appeared at, or None."""
-    transcript: list[BranchOp] = []
-    op: Optional[BranchOp] = None
-    trusted_out = trusted.setup(root)
-    tested_out = _tested_outcome(tested.setup, root)
-    trusted_step, tested_step = trusted.branch_and_filter, tested.branch_and_filter
-    while True:
-        if not pointwise_equal(trusted_out, tested_out):
-            return Failure(
-                original=root,
-                shrunk=root,
-                trusted_outcome=trusted_out,
-                tested_outcome=tested_out,
-                reason=f"outcomes differ after {_AFTER.get(type(op), 'setup')}",
-                transcript=tuple(transcript),
-            )
-        op = next_op(trusted_out)
-        if op is None:
-            return None
-        transcript.append(op)
-        trusted_out = trusted_step(op)
-        tested_out = _tested_outcome(tested_step, op)
+class _Lockstep:
+    """Both subjects set up on `root` and then driven by the same operations,
+    their outcomes compared after setup and after every operation. `failure`
+    is the first disagreement, whose transcript ends with the operation it
+    appeared at; `trusted_out` is the trusted side's latest outcome."""
+
+    def __init__(self, root: Instance, trusted: FilterWithState, tested: FilterWithState) -> None:
+        self._root = root
+        self._trusted_step, self._tested_step = trusted.branch_and_filter, tested.branch_and_filter
+        self.transcript: list[BranchOp] = []
+        self.failure: Optional[Failure] = None
+        self._compare(trusted.setup(root), _tested_outcome(tested.setup, root), "setup")
+
+    def step(self, op: BranchOp) -> bool:
+        """Apply `op` to both subjects; whether their outcomes still agree."""
+        self.transcript.append(op)
+        return self._compare(
+            self._trusted_step(op), _tested_outcome(self._tested_step, op), _AFTER[type(op)]
+        )
+
+    def _compare(self, trusted_out: FilterOutcome, tested_out: FilterOutcome, after: str) -> bool:
+        self.trusted_out = trusted_out
+        if pointwise_equal(trusted_out, tested_out):
+            return True
+        self.failure = Failure(
+            original=self._root,
+            shrunk=self._root,
+            trusted_outcome=trusted_out,
+            tested_outcome=tested_out,
+            reason=f"outcomes differ after {after}",
+            transcript=tuple(self.transcript),
+        )
+        return False
 
 
 def replay(
@@ -279,8 +283,11 @@ def replay(
     tested: FilterWithState,
 ) -> Optional[Failure]:
     """The first disagreement of fresh subjects driven from `root` through `transcript`."""
-    ops = iter(transcript)
-    return _first_difference(root, trusted, tested, lambda _: next(ops, None))
+    pair = _Lockstep(root, trusted, tested)
+    for op in transcript:
+        if pair.failure is not None or not pair.step(op):
+            break
+    return pair.failure
 
 
 def dives(
@@ -299,40 +306,35 @@ def dives(
     """
     if rng is None:
         rng = SplitMix64(cfg.seed)
-    dives_done = 0
+    pair = _Lockstep(root, trusted, tested)
+    dives_done = open_frames = 0
+    while pair.failure is None and dives_done < cfg.nb_dives:
+        current, depth = pair.trusted_out, 0
+        while not is_leaf(current) and depth < cfg.max_depth:
+            open_frames += 1
+            # The restriction is drawn only after a push that agreed.
+            if not (pair.step(PUSH) and pair.step(random_restriction(rng, current.instance))):
+                break
+            current, depth = pair.trusted_out, depth + 1
+        if pair.failure is not None:
+            break
+        if not is_leaf(current):
+            import logging  # only here, so that importing propcheck skips it
 
-    def plan() -> Generator[Optional[BranchOp], FilterOutcome, None]:
-        nonlocal dives_done
-        current = yield None  # primed; then sent the setup outcome
-        push_count = 0
-        while dives_done < cfg.nb_dives:
-            depth = 0
-            while not is_leaf(current) and depth < cfg.max_depth:
-                yield PUSH
-                push_count += 1
-                current = yield random_restriction(rng, current.instance)
-                depth += 1
-            if not is_leaf(current):
-                import logging  # only here, so that importing propcheck skips it
-
-                logging.getLogger(__name__).warning(
-                    "dive reached max_depth=%d without a leaf; treating as one",
-                    cfg.max_depth,
-                )
-            dives_done += 1
-            if push_count == 0:
-                break  # the root itself is a leaf; nothing to pop or restrict
-            n_pops = 1 if push_count == 1 else 1 + rng.next_below(push_count - 1)
-            for _ in range(n_pops):
-                current = yield POP
-                push_count -= 1
-        yield None
-
-    ops = plan()
-    next(ops)
-    failure = _first_difference(root, trusted, tested, ops.send)
+            logging.getLogger(__name__).warning(
+                "dive reached max_depth=%d without a leaf; treating as one",
+                cfg.max_depth,
+            )
+        dives_done += 1
+        if open_frames == 0:
+            break  # the root itself is a leaf; nothing to pop or restrict
+        n_pops = 1 if open_frames == 1 else 1 + rng.next_below(open_frames - 1)
+        open_frames -= n_pops
+        for _ in range(n_pops):
+            if not pair.step(POP):
+                break
     return TestReport(
-        passed=failure is None, tests_run=dives_done, seed=cfg.seed, failure=failure
+        passed=pair.failure is None, tests_run=dives_done, seed=cfg.seed, failure=pair.failure
     )
 
 

@@ -539,6 +539,99 @@ class TestReplay:
         assert (code, out, err) == (EXIT_COUNTEREXAMPLE, "", "")
 
 
+def replay_of(tamper):
+    """A case that replays a failing static report of arity 5 rewritten by
+    `tamper`, which returns the new document or the file's raw text."""
+
+    def argv(capsys, tmp_path, monkeypatch):
+        code, out, _ = run_cli(
+            capsys,
+            "run", "--mode", "check", "--trusted", "boundz:sum=0",
+            "--tested", "sum-bc+bug:SUM_REVERSED_BOUND", "--seed", "1",
+        )
+        assert code == EXIT_COUNTEREXAMPLE
+        doc = tamper(json.loads(out))
+        path = tmp_path / "report.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return "replay", "--report", str(path)
+
+    return argv
+
+
+def oracle_on_a_domain_that_is_not_a_list(capsys, tmp_path, monkeypatch):
+    import io, sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"domains": [1, [2]]}'))
+    return "oracle", "--level", "arc", "--checker", "alldiff"
+
+
+def run_with_a_seed_that_is_not_an_integer(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PROPCHECK_SEED", "abc")
+    return "run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", "sum-bc"
+
+
+class TestUsageDefects:
+    """Defects in a report, on stdin or in the environment: each exits 2
+    with one stderr line, pinned here by its start."""
+
+    @pytest.mark.parametrize(
+        "case,prefix",
+        [
+            pytest.param(
+                replay_of(lambda d: "{"),
+                "error: report is not valid JSON: ",
+                id="replay-not-json",
+            ),
+            pytest.param(
+                replay_of(lambda d: {**d, "mode": "bogus"}),
+                "error: unknown report mode 'bogus'",
+                id="replay-unknown-mode",
+            ),
+            pytest.param(
+                replay_of(lambda d: {**d, "config": {**d["config"], "vars": 0}}),
+                "error: report field 'vars' must be >= 1",
+                id="replay-vars-below-1",
+            ),
+            pytest.param(
+                replay_of(lambda d: TestReplay.with_ce(d, trusted={"status": "maybe"})),
+                'error: an outcome must have "status": "inconsistent" or "filtered"',
+                id="replay-unknown-status",
+            ),
+            pytest.param(
+                replay_of(
+                    lambda d: TestReplay.with_ce({**d, "mode": "dives"}, transcript=[{"op": "x"}])
+                ),
+                "error: unknown branch op 'x' in transcript",
+                id="replay-unknown-op",
+            ),
+            pytest.param(
+                replay_of(lambda d: TestReplay.with_ce(d, shrunk={"domains": [0, 0, 0, 0, 0]})),
+                "error: each domain must be a list of integers",
+                id="replay-domain-not-a-list",
+            ),
+            pytest.param(
+                oracle_on_a_domain_that_is_not_a_list,
+                "error: each domain must be a list of integers",
+                id="oracle-domain-not-a-list",
+            ),
+            pytest.param(
+                replay_of(lambda d: {**d, "config": {**d["config"], "vars": 4}}),
+                "contract violation: checker arity 4 != instance arity 5",
+                id="replay-vars-not-the-shrunk-arity",
+            ),
+            pytest.param(
+                run_with_a_seed_that_is_not_an_integer,
+                "error: PROPCHECK_SEED is not an integer: 'abc'",
+                id="run-env-seed",
+            ),
+        ],
+    )
+    def test_exit_code_and_message(self, capsys, tmp_path, monkeypatch, case, prefix):
+        code, out, err = run_cli(capsys, *case(capsys, tmp_path, monkeypatch))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+
 class TestTrustedRecipe:
     """Either side takes a recipe; a sum recipe has no total to give."""
 
@@ -612,6 +705,8 @@ class TestRecipeRegistry:
         assert parse_recipe("alldiff-fc", "") == parse_recipe("alldiff-fc", "arc:alldiff")
         with pytest.raises(cli.UsageError, match="no sum total"):
             parse_recipe("sum-bc", "")
+        with pytest.raises(cli.UsageError, match="names a reference, not a recipe"):
+            parse_recipe("arc:alldiff", "")
 
     def test_readme_table_matches_the_registry(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

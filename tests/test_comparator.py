@@ -47,6 +47,11 @@ def growing_filter(arity):
     return Filter(arity, apply, name="growing")
 
 
+def arity_dropping_filter(arity):
+    """Deliberately non-contracting: returns one variable fewer."""
+    return Filter(arity, lambda inst: Filtered(Instance(inst.domains[1:])), name="dropping")
+
+
 class TestCheck:
     def test_self_comparison_passes_default_campaign_length(self):
         ref = make_reference(ConsistencyLevel.ARC, all_different(5))
@@ -75,13 +80,20 @@ class TestCheck:
                 assert not fails(Instance(doms))
 
     def test_arity_mismatch_is_contract_error(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="filter arity mismatch"):
             check(identity_filter(2), identity_filter(3), CFG3)
+        with pytest.raises(ContractViolationError, match="configured n_vars 3"):
+            check(identity_filter(2), identity_filter(2), CFG3)
 
     def test_non_contracting_reported_with_reason(self):
-        report = check(identity_filter(3), growing_filter(3), CFG3)
-        assert not report.passed
-        assert "non-contracting" in report.failure.reason
+        for trusted, tested, side in [
+            (identity_filter(3), growing_filter(3), "tested"),
+            (growing_filter(3), identity_filter(3), "trusted"),
+            (identity_filter(3), arity_dropping_filter(3), "tested"),
+        ]:
+            report = check(trusted, tested, CFG3)
+            assert not report.passed
+            assert report.failure.reason == f"{side} filter returned a non-contracting result"
 
     def test_inconsistency_disagreement_names_the_side(self):
         always_empty = Filter(3, lambda inst: INCONSISTENT, name="empty")
