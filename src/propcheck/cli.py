@@ -394,14 +394,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trusted_spec, tested_spec = _field(doc, "trusted", str), _field(doc, "tested", str)
     ce = _field(doc, "counterexample", dict)
     shrunk = instance_from_doc(ce.get("shrunk"))
+    if shrunk.arity != arity:
+        raise UsageError(f"report field 'shrunk' must have {arity} domains, not {shrunk.arity}")
     recorded = (
         _field(ce, "reason", str),
         outcome_from_doc(ce.get("trusted")),
         outcome_from_doc(ce.get("tested")),
     )
-    (trusted, trusted_factory), (tested, tested_factory) = _sides(trusted_spec, tested_spec, arity)
     if mode == "dives":
         ops = [branch_op_from_doc(op) for op in _field(ce, "transcript", list)]
+        for op in ops:
+            if isinstance(op, RestrictDomain) and not 0 <= op.index < arity:
+                raise UsageError(f"report field 'index' must be in 0..{arity - 1}, not {op.index}")
+    (trusted, trusted_factory), (tested, tested_factory) = _sides(trusted_spec, tested_spec, arity)
+    if mode == "dives":
         failure = replay(shrunk, ops, trusted_factory(), tested_factory())
         if failure is not None and len(failure.transcript) < len(ops):
             return _not_reproduced(

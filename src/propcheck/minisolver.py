@@ -43,7 +43,7 @@ from .domains import (
     FilterOutcome,
     Instance,
 )
-from .stateful import RestrictDomain, SnapshotStack, restricted
+from .stateful import SnapshotStack
 
 
 class Inconsistency(Exception):
@@ -381,10 +381,11 @@ def as_filter(recipe: Recipe, arity: int) -> Filter:
 
 
 class SolverBackedStateful(SnapshotStack):
-    """FilterWithState over a fresh solver, with the snapshot adapter's frame
-    rules and restriction rule (`stateful.restricted`). The propagator runs
-    to its fixpoint at setup, after a restriction that removes a value, and
-    after a pop puts back the very domains saved at the push (the pop
+    """FilterWithState over a fresh solver, with the frame rules and the
+    restriction rule of `SnapshotStack`. While the outcome is consistent,
+    `solver.doms` holds exactly its `Domain` objects. The propagator runs
+    to its fixpoint at setup, on the domains that a restriction narrowed,
+    and after a pop puts back the very domains saved at the push (the pop
     re-check). Each of these gives its outcome by `_settled`."""
 
     def __init__(self, recipe: Recipe, arity: int) -> None:
@@ -397,20 +398,15 @@ class SolverBackedStateful(SnapshotStack):
         self._solver, outcome = _first_run(self._recipe, self._arity, root)
         return outcome
 
-    def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
-        solver = self._solver
-        kept = restricted(solver.doms, op)
-        if not kept:
-            return INCONSISTENT
-        if not solver.keep(op.index, kept):
-            return current
-        return _settled(solver, current)
+    def _narrowed(self, current: Filtered, narrowed: Instance) -> FilterOutcome:
+        self._solver.doms = list(narrowed)
+        return _settled(self._solver, current)
 
     def _restored(self, saved: Filtered) -> FilterOutcome:
-        # Re-reaching the fixpoint is a no-op for well-behaved
-        # propagators; stale internal state surfaces here.
-        self._solver.doms = list(saved.instance)
-        return _settled(self._solver, saved)
+        # The pop re-check: the saved domains are installed and run to the
+        # fixpoint again, a no-op for well-behaved propagators; stale
+        # internal state surfaces here.
+        return self._narrowed(saved, saved.instance)
 
 
 def as_filter_with_state(recipe: Recipe, arity: int) -> SolverBackedStateful:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import functools
+from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .domains import (
@@ -85,15 +86,13 @@ def restricted(domains: Sequence[Domain], r: RestrictDomain) -> Domain:
     if not 0 <= index < len(domains):
         raise ContractViolationError(f"restriction index {index} out of range")
     d = domains[index]
+    if relation == "!=":
+        return d.remove(c)
     if relation == "=":
-        kept = [v for v in d if v == c]
-    elif relation == "!=":
-        kept = [v for v in d if v != c]
-    elif relation == "<":
-        kept = [v for v in d if v < c]
-    else:
-        kept = [v for v in d if v > c]
-    return Domain._from_sorted(kept)
+        return Domain._from_sorted((c,) if c in d else ())
+    if relation == "<":
+        return Domain._from_sorted(d[: bisect_left(d, c)])
+    return Domain._from_sorted(d[bisect_right(d, c) :])
 
 
 def apply_restriction(inst: Instance, r: RestrictDomain) -> FilterOutcome:
@@ -131,11 +130,14 @@ class FilterWithState(abc.ABC):
 
 
 class SnapshotStack(FilterWithState):
-    """The frame rules of a stateful subject: setup runs once, before any
-    operation; a push saves the current outcome and a pop puts the last
-    saved one back; a restriction leaves an inconsistent outcome as it is.
-    Subclasses filter in `_root` and `_restricted`; `_restored` runs on a
-    consistent saved outcome that a pop puts back."""
+    """The frame rules of a stateful subject and its one restriction rule:
+    setup runs once, before any operation; a push saves the current outcome
+    and a pop puts the last saved one back; a restriction leaves an
+    inconsistent outcome as it is, gives INCONSISTENT when it empties the
+    domain (`restricted`), and keeps the very current outcome, filtering
+    nothing, when it removes no value. Subclasses filter in `_root`, in
+    `_narrowed` on the instance that a restriction narrowed, and in
+    `_restored` on a consistent saved outcome that a pop puts back."""
 
     def __init__(self) -> None:
         self._stack: list[FilterOutcome] = []
@@ -148,17 +150,24 @@ class SnapshotStack(FilterWithState):
         return self._current
 
     def branch_and_filter(self, op: BranchOp) -> FilterOutcome:
-        if self._current is None:
+        current = self._current
+        if current is None:
             raise ContractViolationError("branch_and_filter before setup")
         if isinstance(op, Push):
-            self._stack.append(self._current)
+            self._stack.append(current)
         elif isinstance(op, Pop):
             if not self._stack:
                 raise ContractViolationError("pop with no open frame")
             saved = self._stack.pop()
             self._current = saved if saved is INCONSISTENT else self._restored(saved)
-        elif self._current is not INCONSISTENT:
-            self._current = self._restricted(self._current, op)
+        elif current is not INCONSISTENT:
+            doms = list(current.instance)
+            kept = restricted(doms, op)
+            if not kept:
+                self._current = INCONSISTENT
+            elif len(kept) < len(doms[op.index]):
+                doms[op.index] = kept
+                self._current = self._narrowed(current, Instance._from_domains(doms))
         return self._current
 
     @abc.abstractmethod
@@ -166,8 +175,9 @@ class SnapshotStack(FilterWithState):
         """The outcome of filtering `root`."""
 
     @abc.abstractmethod
-    def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
-        """The outcome of restricting `current` by `op` and filtering."""
+    def _narrowed(self, current: Filtered, narrowed: Instance) -> FilterOutcome:
+        """The outcome of filtering `narrowed`, which is `current`'s instance
+        with one domain cut by a restriction."""
 
     def _restored(self, saved: Filtered) -> FilterOutcome:
         return saved
@@ -177,7 +187,7 @@ class IncrementalFiltering(SnapshotStack):
     """Turns any static Filter into a stateful one via a snapshot stack.
 
     It calls `base.apply` on the root and after each restriction that
-    leaves every domain non-empty; the subjects that
+    removes a value and leaves every domain non-empty; the subjects that
     `incremental_factory` makes share a memo of those calls."""
 
     def __init__(self, base: Filter) -> None:
@@ -187,9 +197,8 @@ class IncrementalFiltering(SnapshotStack):
     def _root(self, root: Instance) -> FilterOutcome:
         return self._base.apply(root)
 
-    def _restricted(self, current: Filtered, op: RestrictDomain) -> FilterOutcome:
-        restricted = apply_restriction(current.instance, op)
-        return restricted if restricted is INCONSISTENT else self._base.apply(restricted.instance)
+    def _narrowed(self, current: Filtered, narrowed: Instance) -> FilterOutcome:
+        return self._base.apply(narrowed)
 
 
 # How many outcomes the subjects of one `incremental_factory` share.

@@ -11,6 +11,7 @@ import pytest
 
 from propcheck import (
     PUSH,
+    ContractViolationError,
     Instance,
     RestrictDomain,
     arc_filter,
@@ -570,9 +571,18 @@ def run_with_a_seed_that_is_not_an_integer(capsys, tmp_path, monkeypatch):
     return "run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", "sum-bc"
 
 
+def run_whose_handler_breaks_a_contract(capsys, tmp_path, monkeypatch):
+    def broken(args):
+        raise ContractViolationError("a broken contract")
+
+    monkeypatch.setattr(cli, "cmd_run", broken)
+    return "run", "--mode", "check", "--trusted", "boundz:sum=0", "--tested", "sum-bc"
+
+
 class TestUsageDefects:
-    """Defects in a report, on stdin or in the environment: each exits 2
-    with one stderr line, pinned here by its start."""
+    """Defects in a report, on stdin or in the environment, and a handler
+    that breaks a contract: each exits 2 with one stderr line, pinned here
+    by its start."""
 
     @pytest.mark.parametrize(
         "case,prefix",
@@ -616,8 +626,26 @@ class TestUsageDefects:
             ),
             pytest.param(
                 replay_of(lambda d: {**d, "config": {**d["config"], "vars": 4}}),
-                "contract violation: checker arity 4 != instance arity 5",
+                "error: report field 'shrunk' must have 4 domains, not 5",
                 id="replay-vars-not-the-shrunk-arity",
+            ),
+            pytest.param(
+                replay_of(
+                    lambda d: TestReplay.with_ce(
+                        {**d, "mode": "dives"},
+                        transcript=[
+                            {"op": "push"},
+                            {"op": "restrict", "index": 9, "relation": "=", "constant": 0},
+                        ],
+                    )
+                ),
+                "error: report field 'index' must be in 0..4, not 9",
+                id="replay-restrict-index-out-of-range",
+            ),
+            pytest.param(
+                run_whose_handler_breaks_a_contract,
+                "contract violation: a broken contract",
+                id="run-contract-violation",
             ),
             pytest.param(
                 run_with_a_seed_that_is_not_an_integer,

@@ -61,6 +61,8 @@ class TestDomain:
     def test_empty_domain_has_no_bounds(self):
         with pytest.raises(ValueError):
             Domain().min()
+        with pytest.raises(ValueError):
+            Domain().max()
 
     def test_remove(self):
         assert Domain([1, 2]).remove(1) == Domain([2])
@@ -181,6 +183,8 @@ class TestPointwiseSubset:
     def test_arity_mismatch(self):
         with pytest.raises(ContractViolationError):
             pointwise_subset(filtered([1]), filtered([1], [2]))
+        with pytest.raises(ContractViolationError):
+            Instance.of([[1]]).pointwise_subset_of(Instance.of([[1], [2]]))
 
 
 outcomes = st.one_of(

@@ -57,6 +57,8 @@ def test_next_below_range():
     draws = [rng.next_below(10) for _ in range(200)]
     assert all(0 <= d < 10 for d in draws)
     assert len(set(draws)) > 1
+    with pytest.raises(ValueError):
+        rng.next_below(0)
 
 
 class TestGenConfig:

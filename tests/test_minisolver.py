@@ -90,6 +90,10 @@ class TestTrail:
         solver.fixpoint()
         assert counting_sum_bc.runs == 2  # the second run removes nothing
         assert domains_of(solver) == [[4, 5], [2, 3]]
+        # The base propagator has no filtering rule; only running it raises.
+        solver = solver_with([[1]], Propagator())
+        with pytest.raises(NotImplementedError):
+            solver.fixpoint()
 
     def test_push_remove_pop_restores_exactly(self):
         # A pop puts the very domains saved at the push back in the solver.

@@ -1,6 +1,8 @@
 """Branching operations, the frame rules of both stateful subjects, and
 random dives."""
 
+import operator
+
 import pytest
 
 from propcheck import (
@@ -10,6 +12,7 @@ from propcheck import (
     ConsistencyLevel,
     ContractViolationError,
     DiveConfig,
+    Domain,
     EnumerationCapExceeded,
     Filter,
     Filtered,
@@ -30,7 +33,8 @@ from propcheck import (
     sum_equals,
 )
 from propcheck import stateful
-from propcheck.stateful import incremental_factory
+from propcheck.minisolver import AllDifferentAC
+from propcheck.stateful import incremental_factory, restricted
 
 
 def arc_alldiff(arity):
@@ -51,6 +55,15 @@ class TestApplyRestriction:
         inst = Instance.of([[1, 2, 3], [5]])
         got = apply_restriction(inst, RestrictDomain(0, relation, constant))
         assert got == Filtered(Instance.of([expected, [5]]))
+
+    @pytest.mark.parametrize("relation", stateful.RELATIONS)
+    def test_restricted_equals_a_brute_force_filter(self, relation):
+        # Constants below, between, on and above a domain with holes.
+        holes = Domain([-2, 0, 3, 5])
+        keep = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt}[relation]
+        for c in range(-4, 8):
+            got = restricted([Domain([9]), holes], RestrictDomain(1, relation, c))
+            assert type(got) is Domain and got == tuple(v for v in holes if keep(v, c)), c
 
     def test_emptied_domain_is_inconsistent(self):
         inst = Instance.of([[1, 2]])
@@ -136,6 +149,23 @@ class TestIncrementalFiltering:
             f.branch_and_filter(PUSH)
             f.branch_and_filter(RestrictDomain(0, "=", 1))
             assert f.branch_and_filter(POP) is saved, type(f).__name__
+
+    def test_a_restriction_that_removes_nothing_keeps_the_outcome(self, monkeypatch):
+        calls = []
+        propagate = AllDifferentAC.propagate
+        monkeypatch.setattr(
+            AllDifferentAC, "propagate", lambda p, solver: calls.append(p) or propagate(p, solver)
+        )
+        no_ops = [RestrictDomain(0, "!=", 5), RestrictDomain(0, "<", 9),
+                  RestrictDomain(0, ">", 0), RestrictDomain(1, "=", 2)]
+        root = Instance.of([[1, 2, 3], [2]])
+        for f in (IncrementalFiltering(counted_filter(2, calls)),
+                  as_filter_with_state(all_different_ac(), 2)):
+            current = f.setup(root)
+            calls.clear()
+            for op in [PUSH, *no_ops]:
+                assert f.branch_and_filter(op) is current, (type(f).__name__, op)
+            assert calls == [], type(f).__name__
 
     def test_pop_without_push_is_contract_error(self):
         for f in subjects(1):

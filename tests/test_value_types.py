@@ -113,6 +113,8 @@ def test_assigning_raises_attribute_error(name):
     for attr in [*fields, "extra"]:
         with pytest.raises(AttributeError):
             setattr(obj, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
 
 
 @pytest.mark.parametrize("name", [n for n in TYPES if n != "Checker"])
@@ -144,6 +146,7 @@ def test_reprs():
     assert repr(RestrictDomain(1, "<", 2)) == "RestrictDomain(index=1, relation='<', constant=2)"
     assert repr(Push()) == "Push()"
     assert repr(Pop()) == "Pop()"
+    assert repr(Checker(2, _pred, name="c")) == f"Checker(arity=2, predicate={_pred!r}, name='c')"
     failure = (
         "Failure(original=Instance[{1, 2}, {3}], shrunk=Instance[{1}, {3}], "
         "trusted_outcome=Inconsistent, tested_outcome=Filtered(Instance[{1}, {3}]), "
