@@ -394,6 +394,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trusted_spec, tested_spec = _field(doc, "trusted", str), _field(doc, "tested", str)
     ce = _field(doc, "counterexample", dict)
     shrunk = instance_from_doc(ce.get("shrunk"))
+    if not all(shrunk):  # no campaign records an empty domain; only oracle input may have one
+        raise UsageError("report field 'shrunk' must have no empty domain")
     if shrunk.arity != arity:
         raise UsageError(f"report field 'shrunk' must have {arity} domains, not {shrunk.arity}")
     recorded = (

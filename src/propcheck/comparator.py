@@ -19,7 +19,6 @@ from .domains import (
     Filter,
     FilterOutcome,
     Instance,
-    _Validated,
     pointwise_equal,
     pointwise_subset,
 )
@@ -50,20 +49,16 @@ class Failure(NamedTuple):
     transcript: Optional[tuple] = None  # BranchOps, dives campaigns only
 
 
-class _TestReport(NamedTuple):
-    passed: bool
+class TestReport(NamedTuple):
     tests_run: int
     seed: int
     failure: Optional[Failure] = None
     redraws: int = 0
 
-
-class TestReport(_Validated, _TestReport):
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.passed != (self.failure is None):
-            raise ValueError("a report passes exactly when it carries no failure")
+    @property
+    def passed(self) -> bool:
+        """A report passes exactly when it carries no failure."""
+        return self.failure is None
 
 
 def _contracting(inp: Instance, out: FilterOutcome) -> bool:
@@ -153,7 +148,6 @@ def run_campaign(
                 "the shrunk instance no longer fails: a subject is not deterministic"
             )
         return TestReport(
-            passed=False,
             tests_run=tests_run + run,
             seed=cfg.seed,
             redraws=redraws,
@@ -161,7 +155,7 @@ def run_campaign(
                 original=inst, shrunk=result.instance, shrunk_minimal=result.minimal
             ),
         )
-    return TestReport(passed=True, tests_run=tests_run, seed=cfg.seed, redraws=redraws)
+    return TestReport(tests_run=tests_run, seed=cfg.seed, redraws=redraws)
 
 
 def _static_campaign(
@@ -220,21 +214,20 @@ class AssertionBuilder:
         self._tested = tested
         self._cfg = cfg
 
-    def filter_as(self, trusted: Filter) -> "AssertionBuilder":
-        report = check(trusted, self._tested, self._cfg)
+    def _holds(self, clause: str, campaign: Callable, trusted: Filter) -> "AssertionBuilder":
+        """Run `campaign` as the clause; raise FilterAssertionError if it fails."""
+        report = campaign(trusted, self._tested, self._cfg)
         if not report.passed:
-            raise FilterAssertionError(f"filter_as({trusted.name or 'trusted'})", report)
+            raise FilterAssertionError(f"{clause}({trusted.name or 'trusted'})", report)
         return self
+
+    def filter_as(self, trusted: Filter) -> "AssertionBuilder":
+        return self._holds("filter_as", check, trusted)
 
     def at_least_as_strong_as(self, trusted: Filter) -> "AssertionBuilder":
         """Each tested outcome is included in the trusted one: the tested
         filter prunes at least as much."""
-        report = stronger(trusted, self._tested, self._cfg)
-        if not report.passed:
-            raise FilterAssertionError(
-                f"at_least_as_strong_as({trusted.name or 'trusted'})", report
-            )
-        return self
+        return self._holds("at_least_as_strong_as", stronger, trusted)
 
 
 def assert_that(tested: Filter, cfg: GenConfig = GenConfig()) -> AssertionBuilder:

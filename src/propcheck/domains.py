@@ -13,9 +13,11 @@ range-checks its input; every value that comes from outside the program
 derived from an existing `Domain` or solver variable, which are already
 sorted, distinct and in range. `Instance(domains)` rejects arity 0
 and any element that is not a `Domain`. `Instance._from_domains` skips
-those checks and is used only for a filter's outcome built from the
-domains of the instance it filtered, some replaced by `Domain`s derived
-from them: a nonempty sequence of `Domain`s by construction.
+those checks and is used only for an instance built from the domains of
+another, some replaced by `Domain`s derived from them: a filter's outcome
+built from the instance it filtered, or the instance that
+`SnapshotStack` narrows by a restriction. Either is a nonempty sequence
+of `Domain`s by construction.
 """
 
 from __future__ import annotations

@@ -311,10 +311,12 @@ def dives(
 
     Restrictions are drawn from the trusted side's current domains so a
     buggy subject cannot steer generation away from its own defect. On a
-    mismatch, the failure carries the full replayable transcript.
+    mismatch, the failure carries the full replayable transcript. The
+    report's seed is the state `rng` started from, so dives run without an
+    rng under `DiveConfig(seed=report.seed)` repeat these ones.
     """
-    if rng is None:
-        rng = SplitMix64(cfg.seed)
+    rng = SplitMix64(cfg.seed) if rng is None else rng
+    seed = rng.state
     pair = _Lockstep(root, trusted, tested)
     dives_done = open_frames = 0
     while pair.failure is None and dives_done < cfg.nb_dives:
@@ -342,9 +344,7 @@ def dives(
         for _ in range(n_pops):
             if not pair.step(POP):
                 break
-    return TestReport(
-        passed=pair.failure is None, tests_run=dives_done, seed=cfg.seed, failure=pair.failure
-    )
+    return TestReport(tests_run=dives_done, seed=seed, failure=pair.failure)
 
 
 def dive_campaign(

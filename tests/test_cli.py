@@ -34,7 +34,7 @@ from propcheck.cli import (
     outcome_to_doc,
     parse_recipe,
 )
-from propcheck import checkers, cli, minisolver, reference, stateful
+from propcheck import checkers, cli, comparator, minisolver, reference, stateful
 from propcheck.domains import INCONSISTENT, Filtered
 from propcheck.minisolver import RECIPES, BugId
 
@@ -489,6 +489,13 @@ class TestReplay:
                 id="unknown-relation",
             ),
             pytest.param(
+                DIVE,
+                lambda d: TestReplay.with_ce(
+                    d, shrunk={"domains": [[], [0], [0]], "allowEmpty": True}
+                ),
+                id="shrunk-empty-domain",
+            ),
+            pytest.param(
                 STATIC, lambda d: {**d, "config": {**d["config"], "vars": "3"}},
                 id="vars-string",
             ),
@@ -533,6 +540,26 @@ class TestReplay:
         assert out == ""
         assert err.startswith("not reproduced: ") and err.count("\n") == 1
         assert what in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (
+                "run", "--mode", "check", "--trusted", "boundz:sum=0",
+                "--tested", "sum-bc+bug:SUM_REVERSED_BOUND", "--seed", "1",
+            ),
+            (
+                "dive", "--trusted", "boundz:sum=0",
+                "--tested", "sum-bc+bug:TRAIL_NO_RESTORE", "--seed", "8",
+            ),
+        ],
+        ids=["static", "dive"],
+    )
+    def test_a_shrink_cut_short_is_reported_and_replays(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(comparator, "DEFAULT_SHRINK_BUDGET", 2)
+        path = self.capture_failing_report(capsys, tmp_path, *argv)
+        assert json.loads(path.read_text())["counterexample"]["shrunkMinimal"] is False
+        assert run_cli(capsys, "replay", "--report", str(path)) == (EXIT_COUNTEREXAMPLE, "", "")
 
     @pytest.mark.parametrize("argv", [STATIC, DIVE], ids=["static", "dive"])
     def test_reproduced_report_prints_nothing(self, capsys, tmp_path, argv):
@@ -623,6 +650,19 @@ class TestUsageDefects:
                 oracle_on_a_domain_that_is_not_a_list,
                 "error: each domain must be a list of integers",
                 id="oracle-domain-not-a-list",
+            ),
+            pytest.param(
+                replay_of(
+                    lambda d: TestReplay.with_ce(
+                        d,
+                        shrunk={
+                            "domains": d["counterexample"]["shrunk"]["domains"][:-1] + [[]],
+                            "allowEmpty": True,
+                        },
+                    )
+                ),
+                "error: report field 'shrunk' must have no empty domain",
+                id="replay-shrunk-empty-domain",
             ),
             pytest.param(
                 replay_of(lambda d: {**d, "config": {**d["config"], "vars": 4}}),

@@ -169,21 +169,15 @@ class TestStronger:
         assert stronger(other, ref, CFG3).passed
 
 
-class TestReportInvariant:
+class TestReportVerdict:
     # Reached through the module so pytest does not collect TestReport.
-    def failure(self):
+    def test_passed_follows_failure(self):
         inst = Instance.of([[1]])
-        return Failure(
-            inst, inst, INCONSISTENT, Filtered(inst), "differ"
-        )
-
-    def test_passing_report_with_failure_is_rejected(self):
-        with pytest.raises(ValueError):
-            propcheck.TestReport(passed=True, tests_run=1, seed=0, failure=self.failure())
-
-    def test_failing_report_without_failure_is_rejected(self):
-        with pytest.raises(ValueError):
-            propcheck.TestReport(passed=False, tests_run=1, seed=0)
+        failure = Failure(inst, inst, INCONSISTENT, Filtered(inst), "differ")
+        failing = propcheck.TestReport(tests_run=1, seed=0, failure=failure)
+        assert failing.passed is False
+        assert failing._replace(failure=None).passed is True
+        assert propcheck.TestReport(tests_run=1, seed=0).passed is True
 
 
 class TestAssertions:

@@ -776,7 +776,7 @@ def test_solver_propagator_runs_are_pinned(pinned_solver_digests):
     assert digest == _PINNED_RUNS, f"_PINNED_RUNS is now {digest}"
 
 
-_PINNED_FC = "32854b47b05727d2cbef51807c7bbaac81ae46dd344fa0d82471269078af762a"
+_PINNED_FC = "d4276702b318ff227e3744c186cb2b614337c7a1e525c717d4ec6cf935c39996"
 
 
 def test_forward_checking_bug_reports_are_pinned():

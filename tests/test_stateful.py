@@ -335,6 +335,16 @@ class TestDives:
         second = dives(root, IncrementalFiltering(arc_alldiff(3)), IdentityStateful(3), cfg)
         assert first == second
 
+    def test_report_seed_is_where_the_rng_started_and_replays_the_dives(self):
+        root = Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
+
+        def subjects():
+            return IncrementalFiltering(arc_alldiff(3)), IdentityStateful(3)
+
+        report = dives(root, *subjects(), DiveConfig(nb_dives=3), SplitMix64(7))
+        assert report.seed == 7 and report.failure is not None
+        assert dives(root, *subjects(), DiveConfig(nb_dives=3, seed=report.seed)) == report
+
     def test_replay_returns_the_recorded_failure(self):
         root = Instance.of([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
         cfg = DiveConfig(nb_dives=10, seed=2)

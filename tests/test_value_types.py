@@ -58,8 +58,8 @@ TYPES = {
     ),
     "TestReport": (
         Report,
-        {"passed": False, "tests_run": 3, "seed": 7, "failure": FAILURE, "redraws": 2},
-        {"redraws": 0},
+        {"tests_run": 3, "seed": 7, "failure": FAILURE, "redraws": 2},
+        {"failure": None, "redraws": 0},
     ),
     "ShrinkResult": (
         ShrinkResult,
@@ -153,18 +153,15 @@ def test_reprs():
         "reason='r', shrunk_minimal=False, transcript=())"
     )
     assert repr(FAILURE) == failure
-    assert repr(Report(False, 3, 7, FAILURE)) == (
-        f"TestReport(passed=False, tests_run=3, seed=7, failure={failure}, redraws=0)"
+    assert repr(Report(3, 7, FAILURE)) == (
+        f"TestReport(tests_run=3, seed=7, failure={failure}, redraws=0)"
     )
-    assert repr(Report(True, 3, 7)) == (
-        "TestReport(passed=True, tests_run=3, seed=7, failure=None, redraws=0)"
-    )
+    assert repr(Report(3, 7)) == "TestReport(tests_run=3, seed=7, failure=None, redraws=0)"
 
 
 _GEN = (GenConfig, {})
 _DIVE = (DiveConfig, {})
 _RESTRICT = (RestrictDomain, {"index": 0, "relation": "=", "constant": 1})
-_REPORT = (Report, {"passed": True, "tests_run": 1, "seed": 0})
 
 INVALID = [
     (*_GEN, {"n_vars": 0}, "n_vars must be >= 1"),
@@ -185,8 +182,6 @@ INVALID = [
     (*_DIVE, {"nb_dives": 0}, "nb_dives must be >= 1"),
     (*_DIVE, {"max_depth": 0}, "max_depth must be >= 1"),
     (*_RESTRICT, {"relation": "<="}, "unknown relation '<='"),
-    (*_REPORT, {"failure": FAILURE}, "a report passes exactly when it carries no failure"),
-    (*_REPORT, {"passed": False}, "a report passes exactly when it carries no failure"),
 ]
 
 
