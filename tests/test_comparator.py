@@ -169,15 +169,37 @@ class TestStronger:
         assert stronger(other, ref, CFG3).passed
 
 
-class TestReportVerdict:
+class TestReportInvariant:
     # Reached through the module so pytest does not collect TestReport.
-    def test_passed_follows_failure(self):
+    def failure(self):
         inst = Instance.of([[1]])
-        failure = Failure(inst, inst, INCONSISTENT, Filtered(inst), "differ")
-        failing = propcheck.TestReport(tests_run=1, seed=0, failure=failure)
+        return Failure(inst, inst, INCONSISTENT, Filtered(inst), "differ")
+
+    def test_passed_follows_failure(self):
+        failing = propcheck.TestReport(tests_run=1, seed=0, failure=self.failure())
         assert failing.passed is False
         assert failing._replace(failure=None).passed is True
         assert propcheck.TestReport(tests_run=1, seed=0).passed is True
+
+    # The verdict is not a field, so no report can state one that
+    # disagrees with its failure.
+    def test_passing_report_with_failure_is_rejected(self):
+        failing = propcheck.TestReport(tests_run=1, seed=0, failure=self.failure())
+        with pytest.raises(TypeError):
+            propcheck.TestReport(passed=True, tests_run=1, seed=0, failure=self.failure())
+        with pytest.raises(ValueError):
+            failing._replace(passed=True)
+        with pytest.raises(AttributeError):
+            failing.passed = True
+
+    def test_failing_report_without_failure_is_rejected(self):
+        passing = propcheck.TestReport(tests_run=1, seed=0)
+        with pytest.raises(TypeError):
+            propcheck.TestReport(passed=False, tests_run=1, seed=0)
+        with pytest.raises(ValueError):
+            passing._replace(passed=False)
+        with pytest.raises(AttributeError):
+            passing.passed = False
 
 
 class TestAssertions:
