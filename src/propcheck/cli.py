@@ -383,10 +383,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise UsageError(f"report is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("report must be a JSON object")
-    if doc.get("passed", True) or doc.get("counterexample") is None:
+    if doc.get("counterexample") is None:
         raise UsageError("report has no counterexample; nothing to replay")
+    if doc.get("passed", False) is not False:  # the verdict is the counterexample's
+        raise UsageError("report field 'passed' must be false next to a counterexample")
     mode = doc.get("mode")
-    if mode not in ("check", "stronger", "dives"):
+    if mode != "dives" and mode not in [m.value for m in ComparisonMode]:
         raise UsageError(f"unknown report mode {mode!r}")
     arity = _field(_field(doc, "config", dict), "vars", int)
     if arity < 1:
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_run = sub.add_parser("run", help="run a check or stronger campaign")
-    p_run.add_argument("--mode", choices=("check", "stronger"), required=True)
+    p_run.add_argument("--mode", choices=[m.value for m in ComparisonMode], required=True)
     p_run.add_argument("--trusted", required=True, help="recipe or <level>:<checker>")
     p_run.add_argument("--tested", required=True, help="recipe or <level>:<checker>")
     p_run.add_argument("--tests", type=int, default=100)

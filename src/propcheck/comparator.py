@@ -35,8 +35,34 @@ MAX_REDRAWS = 1000
 
 
 class ComparisonMode(enum.Enum):
+    """How a static campaign compares the outcomes of its two filters; the
+    value is the mode's name on the CLI and in a report."""
+
     EQUALITY = "check"
     TESTED_SUBSET_OF_TRUSTED = "stronger"
+
+    def reason(
+        self, inst: Instance, trusted_out: FilterOutcome, tested_out: FilterOutcome
+    ) -> Optional[str]:
+        """None when the outcomes of filtering `inst` agree in this mode, else
+        the failure reason. Both outcomes must first contract `inst`: be
+        INCONSISTENT or, at its arity, pointwise included in it. The trusted
+        outcome is tested first."""
+        for side, out in (("trusted", trusted_out), ("tested", tested_out)):
+            if out is not INCONSISTENT and (
+                out.instance.arity != inst.arity or not out.instance.pointwise_subset_of(inst)
+            ):
+                return f"{side} filter returned a non-contracting result"
+        if self is ComparisonMode.TESTED_SUBSET_OF_TRUSTED:
+            if pointwise_subset(tested_out, trusted_out):
+                return None
+            return "tested outcome is not pointwise included in the trusted outcome"
+        if pointwise_equal(trusted_out, tested_out):
+            return None
+        if (tested_out is INCONSISTENT) != (trusted_out is INCONSISTENT):
+            side = "tested" if tested_out is INCONSISTENT else "trusted"
+            return f"outcomes differ: only the {side} filter claimed inconsistency"
+        return "outcomes differ under equality comparison"
 
 
 class Failure(NamedTuple):
@@ -61,43 +87,16 @@ class TestReport(NamedTuple):
         return self.failure is None
 
 
-def _contracting(inp: Instance, out: FilterOutcome) -> bool:
-    if out is INCONSISTENT:
-        return True
-    if out.instance.arity != inp.arity:
-        return False
-    return out.instance.pointwise_subset_of(inp)
-
-
 def disagreement(
     trusted: Filter, tested: Filter, inst: Instance, mode: ComparisonMode
 ) -> Optional[Failure]:
     """None when the pair agrees on `inst`, else the failure found on it."""
     trusted_out = trusted.apply(inst)
     tested_out = tested.apply(inst)
-    if not _contracting(inst, trusted_out):
-        reason = "trusted filter returned a non-contracting result"
-    elif not _contracting(inst, tested_out):
-        reason = "tested filter returned a non-contracting result"
-    elif mode is ComparisonMode.EQUALITY:
-        if pointwise_equal(trusted_out, tested_out):
-            return None
-        if (tested_out is INCONSISTENT) != (trusted_out is INCONSISTENT):
-            side = "tested" if tested_out is INCONSISTENT else "trusted"
-            reason = f"outcomes differ: only the {side} filter claimed inconsistency"
-        else:
-            reason = "outcomes differ under equality comparison"
-    elif pointwise_subset(tested_out, trusted_out):
+    reason = mode.reason(inst, trusted_out, tested_out)
+    if reason is None:
         return None
-    else:
-        reason = "tested outcome is not pointwise included in the trusted outcome"
-    return Failure(
-        original=inst,
-        shrunk=inst,
-        trusted_outcome=trusted_out,
-        tested_outcome=tested_out,
-        reason=reason,
-    )
+    return Failure(inst, inst, trusted_out, tested_out, reason)
 
 
 # The number of tests a property ran on an instance, and the failure it found.

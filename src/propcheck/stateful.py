@@ -254,7 +254,9 @@ class _Lockstep:
     """Both subjects set up on `root` and then driven by the same operations,
     their outcomes compared after setup and after every operation. `failure`
     is the first disagreement, whose transcript ends with the operation it
-    appeared at; `trusted_out` is the trusted side's latest outcome."""
+    appeared at; `trusted_out` is the trusted side's latest outcome. Dives
+    compare by plain equality, not through `ComparisonMode.reason`, because
+    their reasons name the operation the outcomes differ after."""
 
     def __init__(self, root: Instance, trusted: FilterWithState, tested: FilterWithState) -> None:
         self._root = root

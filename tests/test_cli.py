@@ -566,6 +566,13 @@ class TestReplay:
         code, out, err = self.replay_tampered(capsys, tmp_path, argv, lambda d: d)
         assert (code, out, err) == (EXIT_COUNTEREXAMPLE, "", "")
 
+    @pytest.mark.parametrize("argv", [STATIC, DIVE], ids=["static", "dive"])
+    def test_the_verdict_comes_from_the_counterexample(self, capsys, tmp_path, argv):
+        code, out, err = self.replay_tampered(
+            capsys, tmp_path, argv, lambda d: {k: v for k, v in d.items() if k != "passed"}
+        )
+        assert (code, out, err) == (EXIT_COUNTEREXAMPLE, "", "")
+
 
 def replay_of(tamper):
     """A case that replays a failing static report of arity 5 rewritten by
@@ -623,6 +630,11 @@ class TestUsageDefects:
                 replay_of(lambda d: {**d, "mode": "bogus"}),
                 "error: unknown report mode 'bogus'",
                 id="replay-unknown-mode",
+            ),
+            pytest.param(
+                replay_of(lambda d: {**d, "passed": True}),
+                "error: report field 'passed' must be false next to a counterexample",
+                id="replay-passed-next-to-a-counterexample",
             ),
             pytest.param(
                 replay_of(lambda d: {**d, "config": {**d["config"], "vars": 0}}),

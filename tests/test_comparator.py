@@ -12,6 +12,7 @@ from propcheck import (
     Failure,
     Filter,
     FilterAssertionError,
+    ComparisonMode,
     Filtered,
     GenConfig,
     Instance,
@@ -167,6 +168,56 @@ class TestStronger:
         assert check(ref, other, CFG3).passed
         assert stronger(ref, other, CFG3).passed
         assert stronger(other, ref, CFG3).passed
+
+
+# Hand-made outcomes of filtering ROOT = [0, 1] x [0, 1].
+ROOT = Instance.of([[0, 1], [0, 1]])
+SAME = Filtered(ROOT)
+LOW = Filtered(Instance.of([[0], [0, 1]]))
+HIGH = Filtered(Instance.of([[1], [0, 1]]))
+GROWN = Filtered(Instance.of([[0, 1, 2], [0, 1]]))
+SHORT = Filtered(Instance.of([[0, 1]]))  # another arity: not contracting
+EQ, INCL = ComparisonMode.EQUALITY, ComparisonMode.TESTED_SUBSET_OF_TRUSTED
+TRUSTED_GROWS = "trusted filter returned a non-contracting result"
+TESTED_GROWS = "tested filter returned a non-contracting result"
+NOT_INCLUDED = "tested outcome is not pointwise included in the trusted outcome"
+ONLY_TESTED = "outcomes differ: only the tested filter claimed inconsistency"
+ONLY_TRUSTED = "outcomes differ: only the trusted filter claimed inconsistency"
+UNEQUAL = "outcomes differ under equality comparison"
+
+
+class TestComparisonModeReason:
+    @pytest.mark.parametrize(
+        "mode,trusted,tested,reason",
+        [
+            (EQ, SAME, SAME, None),
+            (EQ, LOW, LOW, None),
+            (EQ, INCONSISTENT, INCONSISTENT, None),
+            (EQ, GROWN, SAME, TRUSTED_GROWS),
+            (EQ, SAME, GROWN, TESTED_GROWS),
+            (EQ, SAME, SHORT, TESTED_GROWS),
+            (EQ, GROWN, SHORT, TRUSTED_GROWS),
+            (EQ, SHORT, GROWN, TRUSTED_GROWS),
+            (EQ, GROWN, INCONSISTENT, TRUSTED_GROWS),
+            (EQ, SAME, INCONSISTENT, ONLY_TESTED),
+            (EQ, INCONSISTENT, LOW, ONLY_TRUSTED),
+            (EQ, LOW, HIGH, UNEQUAL),
+            (EQ, SAME, LOW, UNEQUAL),
+            (INCL, SAME, SAME, None),
+            (INCL, SAME, LOW, None),
+            (INCL, LOW, INCONSISTENT, None),
+            (INCL, INCONSISTENT, INCONSISTENT, None),
+            (INCL, GROWN, SAME, TRUSTED_GROWS),
+            (INCL, SAME, GROWN, TESTED_GROWS),
+            (INCL, SAME, SHORT, TESTED_GROWS),
+            (INCL, SHORT, GROWN, TRUSTED_GROWS),
+            (INCL, LOW, SAME, NOT_INCLUDED),
+            (INCL, LOW, HIGH, NOT_INCLUDED),
+            (INCL, INCONSISTENT, LOW, NOT_INCLUDED),
+        ],
+    )
+    def test_reason(self, mode, trusted, tested, reason):
+        assert mode.reason(ROOT, trusted, tested) == reason
 
 
 class TestReportInvariant:

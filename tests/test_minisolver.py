@@ -95,6 +95,26 @@ class TestTrail:
         with pytest.raises(NotImplementedError):
             solver.fixpoint()
 
+    def test_keeping_a_whole_domain_removes_nothing(self):
+        # Keeping every value is no removal, so the fixpoint ends after one
+        # run and the domain object stays in place.
+        class KeepsAll(Propagator):
+            def __init__(self):
+                super().__init__()
+                self.kept = []
+
+            def propagate(self, solver):
+                if self.kept:
+                    raise AssertionError("the fixpoint ran the propagator again")
+                self.kept.append(solver.keep(0, solver.doms[0]))
+
+        propagator = KeepsAll()
+        solver = solver_with([[1, 2, 3], [4]], propagator)
+        dom = solver.doms[0]
+        solver.fixpoint()
+        assert propagator.kept == [False]
+        assert solver.doms[0] is dom
+
     def test_push_remove_pop_restores_exactly(self):
         # A pop puts the very domains saved at the push back in the solver.
         subject, x = as_filter_with_state(all_different_fc(), 1), 0
